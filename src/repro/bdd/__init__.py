@@ -16,6 +16,7 @@ from repro.bdd.ops import (
     rename,
     restrict,
     satcount,
+    substitute,
 )
 from repro.bdd.ordering import force_order, interleaved_order
 
@@ -29,6 +30,7 @@ __all__ = [
     "rename",
     "restrict",
     "satcount",
+    "substitute",
     "any_model",
     "iter_models",
     "force_order",

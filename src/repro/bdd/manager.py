@@ -98,8 +98,14 @@ class BddManager:
         """Then-branch child."""
         return self._hi[node]
 
-    def _mk(self, level: int, lo: int, hi: int) -> int:
-        """Hash-consed node constructor with the reduction rule."""
+    def mk(self, level: int, lo: int, hi: int) -> int:
+        """Hash-consed node constructor with the reduction rule.
+
+        Returns the node ``level ? hi : lo``.  The caller keeps the
+        diagram ordered: both children must be terminals or sit at levels
+        greater than ``level``.  Building a diagram bottom-up with ``mk``
+        yields the same node ids as composing it with ``ite``.
+        """
         if lo == hi:
             return lo
         key = (level, lo, hi)
@@ -122,14 +128,14 @@ class BddManager:
         if level < 0:
             raise ValueError("variable level must be non-negative")
         self.declare(level + 1)
-        return self._mk(level, ZERO, ONE)
+        return self.mk(level, ZERO, ONE)
 
     def nvar(self, level: int) -> int:
         """The function of a single negative literal at ``level``."""
         if level < 0:
             raise ValueError("variable level must be non-negative")
         self.declare(level + 1)
-        return self._mk(level, ONE, ZERO)
+        return self.mk(level, ONE, ZERO)
 
     # ------------------------------------------------------------------
     # Core connective: memoized if-then-else
@@ -158,7 +164,7 @@ class BddManager:
         h_lo, h_hi = self._cofactors(h, top)
         lo = self.ite(f_lo, g_lo, h_lo)
         hi = self.ite(f_hi, g_hi, h_hi)
-        result = self._mk(top, lo, hi)
+        result = self.mk(top, lo, hi)
         self._ite_cache[key] = result
         return result
 

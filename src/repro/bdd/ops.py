@@ -1,11 +1,13 @@
 """Higher-order BDD operations: quantification, relational product,
-model counting and enumeration, variable renaming.
+literal substitution, model counting and enumeration, variable renaming.
 
 These are free functions over a :class:`~repro.bdd.manager.BddManager`;
 each keeps its own memo cache keyed by the operand nodes (caches are scoped
-to the call, which is simpler than invalidation and fast enough at the
-sizes the reproduction explores — the symbolic engine calls ``relprod``
-once per transition per frontier).
+to the call, which is simpler than invalidation).  The symbolic engine's
+hot loop calls :func:`substitute` once per transition per frontier; its
+walk stops below the transition's deepest literal, so a call costs the
+frontier's nodes above that level rather than the whole diagram.
+``relprod`` and ``rename`` serve the monolithic-relation ablation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "forall",
     "relprod",
     "rename",
+    "substitute",
     "restrict",
     "satcount",
     "any_model",
@@ -89,9 +92,9 @@ def relprod(
 ) -> int:
     """Relational product ``∃ levels . f ∧ g`` without building ``f ∧ g``.
 
-    The workhorse of symbolic image computation; quantifies variables as
-    soon as the recursion passes them, which keeps intermediate results
-    small (the classic and-exists optimization).
+    Image computation with a full current/next relation; quantifies
+    variables as soon as the recursion passes them, which keeps
+    intermediate results small (the classic and-exists optimization).
     """
     level_set = frozenset(levels)
     cache: dict[tuple[int, int], int] = {}
@@ -124,6 +127,57 @@ def relprod(
         return result
 
     return walk(f, g)
+
+
+def substitute(
+    mgr: BddManager,
+    f: int,
+    literals: Sequence[tuple[int, bool, bool]],
+) -> int:
+    """Cofactor and reassign a few variables of ``f`` in one walk.
+
+    ``literals`` are ``(level, need, put)`` triples sorted by strictly
+    increasing level.  For each one, ``need`` selects the cofactor
+    ``f|level=need`` and ``put`` fixes the variable to ``put`` in the
+    result.  Every other variable keeps its value.  In formulas, with
+    ``L`` the literal levels::
+
+        substitute(f) = (∃L. f ∧ ⋀ level=need) ∧ ⋀ level=put
+
+    On a safe net this is the image of a marking set under one transition
+    (see :class:`~repro.symbolic.encoding.SymbolicNet`), the same function
+    ``rename(relprod(f, rel, current), next→current)`` computes over the
+    transition's full current/next relation.
+    """
+    lits = tuple(literals)
+    if any(a[0] >= b[0] for a, b in zip(lits, lits[1:])):
+        raise ValueError("substitute literals must have increasing levels")
+    count = len(lits)
+    level, low, high, mk = mgr.level, mgr.low, mgr.high, mgr.mk
+    # One memo per literal index: a node reached with different literals
+    # still pending has different images.
+    caches: list[dict[int, int]] = [{} for _ in lits]
+
+    def walk(node: int, index: int) -> int:
+        # ``index`` is the first literal not yet applied on this path.
+        if index == count or node == ZERO:
+            return node
+        cache = caches[index]
+        hit = cache.get(node)
+        if hit is not None:
+            return hit
+        top = level(node)
+        at, need, put = lits[index]
+        if top < at:
+            result = mk(top, walk(low(node), index), walk(high(node), index))
+        else:
+            below = node if top > at else (high(node) if need else low(node))
+            rest = walk(below, index + 1)
+            result = mk(at, ZERO, rest) if put else mk(at, rest, ZERO)
+        cache[node] = result
+        return result
+
+    return walk(f, 0)
 
 
 def _cofactors(mgr: BddManager, node: int, level: int) -> tuple[int, int]:

@@ -3,9 +3,17 @@
 One Boolean variable per place (safe nets are exactly the nets whose
 markings are bit-vectors), with the standard interleaved current/next
 variable scheme.  The transition relation is kept *partitioned* — one small
-relation per transition — so image computation uses per-transition
-relational products instead of one monolithic relation (the same regime SMV
-operates in for asynchronous models).
+relation per transition (the same regime SMV operates in for asynchronous
+models) — and each relation is built bottom-up in a single pass with the
+manager's node constructor.
+
+Image computation does not use the relations: a transition only reads and
+writes its own pre- and post-places, so its image is a cofactor on those
+places followed by fixing their new values, over current variables only
+(:attr:`SymbolicNet.image_literals`, applied by
+:func:`~repro.bdd.ops.substitute`).  The relations remain the encoding's
+reference semantics, the monolithic ablation's input, and part of the
+peak-size statistic.
 
 The encoding guards each transition with "output places empty" (except
 self-loops): on a safe net this never excludes real behaviour, and it keeps
@@ -15,7 +23,7 @@ where a firing would violate safety (the explicit engine raises there).
 
 from __future__ import annotations
 
-from repro.bdd.manager import BddManager
+from repro.bdd.manager import ONE, ZERO, BddManager
 from repro.bdd.ordering import force_order
 from repro.net.petrinet import Marking, PetriNet
 
@@ -30,11 +38,18 @@ class SymbolicNet:
     mgr:
         The dedicated :class:`BddManager` (levels: interleaved
         current/next per place, possibly permuted by the FORCE heuristic).
+    order:
+        Place indices from the root of the variable order down.
     current / nxt:
         Per place index, the BDD *level* of its current/next variable.
     relations:
         Per transition index, the BDD of its transition relation over
         current and next variables (including frame conditions).
+    image_literals:
+        Per transition index, the ``(level, need, put)`` literals of its
+        image over current variables, sorted by level: every place in
+        ``•t ∪ t•`` needs a token if it is an input (else must be empty)
+        and holds one afterwards iff it is an output.
     enabled_any:
         BDD over current variables: "some transition is enabled";
         its negation characterizes deadlocked markings.
@@ -45,17 +60,20 @@ class SymbolicNet:
         self.mgr = BddManager()
         self._monolithic: int | None = None
 
-        order = self._place_order(use_force_order)
+        self.order = self._place_order(use_force_order)
         # position of place p in the chosen order -> interleaved levels
         self.current: list[int] = [0] * net.num_places
         self.nxt: list[int] = [0] * net.num_places
-        for position, p in enumerate(order):
+        for position, p in enumerate(self.order):
             self.current[p] = 2 * position
             self.nxt[p] = 2 * position + 1
         self.mgr.declare(2 * net.num_places)
 
         self.relations: list[int] = [
             self._transition_relation(t) for t in range(net.num_transitions)
+        ]
+        self.image_literals: list[tuple[tuple[int, bool, bool], ...]] = [
+            self._image_literals(t) for t in range(net.num_transitions)
         ]
         self.enabled_any = self.mgr.or_all(
             self._enabled_predicate(t) for t in range(net.num_transitions)
@@ -78,32 +96,36 @@ class SymbolicNet:
         return node
 
     def _transition_relation(self, t: int) -> int:
-        """Relation ``enabled ∧ effect ∧ frame`` for one transition."""
-        mgr = self.mgr
-        net = self.net
-        pre = net.pre_places[t]
-        post = net.post_places[t]
-        conjuncts: list[int] = []
-        for p in range(net.num_places):
+        """Relation ``enabled ∧ effect ∧ frame`` for one transition.
+
+        Built from the last place in the order up: each place wraps the
+        diagram below it in its current/next pair, so every node is made
+        once and none goes through ``ite``.
+        """
+        mk = self.mgr.mk
+        pre = self.net.pre_places[t]
+        post = self.net.post_places[t]
+        node = ONE
+        for p in reversed(self.order):
             cur = self.current[p]
             nxt = self.nxt[p]
-            if p in pre and p in post:
-                # Self-loop: token required and kept.
-                conjuncts.append(mgr.var(cur))
-                conjuncts.append(mgr.var(nxt))
-            elif p in pre:
-                conjuncts.append(mgr.var(cur))
-                conjuncts.append(mgr.nvar(nxt))
+            if p in pre:
+                # Token required; kept on a self-loop, consumed otherwise.
+                after = mk(nxt, ZERO, node) if p in post else mk(nxt, node, ZERO)
+                node = mk(cur, ZERO, after)
             elif p in post:
                 # Safe-net guard: output place must be empty before firing.
-                conjuncts.append(mgr.nvar(cur))
-                conjuncts.append(mgr.var(nxt))
+                node = mk(cur, mk(nxt, ZERO, node), ZERO)
             else:
                 # Frame: place unchanged.
-                conjuncts.append(
-                    mgr.iff(mgr.var(cur), mgr.var(nxt))
-                )
-        return mgr.and_all(conjuncts)
+                node = mk(cur, mk(nxt, node, ZERO), mk(nxt, ZERO, node))
+        return node
+
+    def _image_literals(self, t: int) -> tuple[tuple[int, bool, bool], ...]:
+        """Sorted ``(level, need, put)`` literals of ``t`` over ``•t ∪ t•``."""
+        pre = self.net.pre_places[t]
+        post = self.net.post_places[t]
+        return tuple(sorted((self.current[p], p in pre, p in post) for p in pre | post))
 
     def monolithic_relation(self) -> int:
         """The single disjunctive transition relation (1998-SMV style).

@@ -1,10 +1,14 @@
 """Symbolic (BDD-based) reachability analysis — paper Section 2.4.
 
-Standard breadth-first image computation over the partitioned transition
-relation, with the peak-live-node statistic the paper's Table 1 reports for
-SMV ("Peak BDD-size").  A deadlock exists iff some reachable marking
-satisfies no transition's enabling predicate; a witness marking is decoded
-from the BDD.
+Standard breadth-first image computation, one transition at a time, with
+the peak-live-node statistic the paper's Table 1 reports for SMV ("Peak
+BDD-size").  Each transition's image is a local literal substitution over
+current variables (:func:`~repro.bdd.ops.substitute`), equal to the
+relational product with its partitioned relation followed by renaming
+next→current; the monolithic ablation still takes that relprod/rename
+route.  A deadlock exists iff some reachable marking satisfies no
+transition's enabling predicate; a witness marking is decoded from the
+BDD.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from repro.analysis.stats import (
     stopwatch,
 )
 from repro.bdd.manager import ONE, ZERO
-from repro.bdd.ops import any_model, relprod, rename, satcount
+from repro.bdd.ops import any_model, relprod, rename, satcount, substitute
 from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
 from repro.obs.record import record_result
@@ -142,42 +146,50 @@ def reach(
 ) -> SymbolicResult:
     """Least fixpoint of the image operator from the initial marking.
 
-    ``partitioned`` selects per-transition relational products (modern
-    practice, default) versus one monolithic relation (the regime 1998-era
-    SMV operated in for asynchronous models; see the ablation benchmarks).
-    ``max_seconds`` bounds wall time (checked between fixpoint
-    iterations); exceeding it raises :class:`TimeLimitReached`.
+    ``partitioned`` selects per-transition images (modern practice,
+    default) versus one relational product with the monolithic relation
+    (the regime 1998-era SMV operated in for asynchronous models; see the
+    ablation benchmarks).  ``max_seconds`` bounds wall time from the call,
+    checked before every per-transition image; exceeding it raises
+    :class:`TimeLimitReached`.
     """
+    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
     tracer = current_tracer()
     with tracer.span(names.SPAN_SYMBOLIC_ENCODE):
         symnet = SymbolicNet(net, use_force_order=use_force_order)
         mgr = symnet.mgr
-        current_levels = symnet.current_levels()
-        renaming = symnet.next_to_current()
-
-        relations = (
-            list(symnet.relations)
-            if partitioned
-            else [symnet.monolithic_relation()]
-        )
+        if partitioned:
+            relations = symnet.relations
+            steps = [
+                lambda s, lits=lits: substitute(mgr, s, lits)
+                for lits in symnet.image_literals
+            ]
+        else:
+            monolithic = symnet.monolithic_relation()
+            current_levels = symnet.current_levels()
+            renaming = symnet.next_to_current()
+            relations = [monolithic]
+            steps = [
+                lambda s: rename(
+                    mgr, relprod(mgr, s, monolithic, current_levels), renaming
+                )
+            ]
     relation_nodes = mgr.count_nodes(*relations)
     reached = symnet.encode_marking(net.initial_marking)
     frontier = reached
     peak = relation_nodes + mgr.count_nodes(reached)
     iterations = 0
-    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
 
     while frontier != ZERO:
-        if deadline is not None and time.perf_counter() > deadline:
-            # Progress is fixpoint iterations; there is no explicit state
-            # count to report at abort.
-            raise TimeLimitReached(max_seconds, iterations)  # type: ignore[arg-type]
         iterations += 1
         with tracer.span(names.SPAN_SYMBOLIC_ITERATION, iteration=iterations):
             image = ZERO
-            for rel in relations:
-                product = relprod(mgr, frontier, rel, current_levels)
-                image = mgr.or_(image, rename(mgr, product, renaming))
+            for step in steps:
+                if deadline is not None and time.perf_counter() > deadline:
+                    # Progress is completed fixpoint iterations; there is
+                    # no explicit state count to report at abort.
+                    raise TimeLimitReached(max_seconds, iterations - 1)  # type: ignore[arg-type]
+                image = mgr.or_(image, step(frontier))
             frontier = mgr.diff(image, reached)
             reached = mgr.or_(reached, frontier)
             live = relation_nodes + mgr.count_nodes(reached, frontier)

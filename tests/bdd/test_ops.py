@@ -1,4 +1,5 @@
-"""Unit tests for quantification, relprod, renaming, counting, models."""
+"""Unit tests for quantification, relprod, substitution, renaming,
+counting, models."""
 
 from itertools import product
 
@@ -16,6 +17,7 @@ from repro.bdd import (
     rename,
     restrict,
     satcount,
+    substitute,
 )
 
 
@@ -83,6 +85,42 @@ class TestRelprod:
     def test_no_quantification(self, mgr):
         f, g = mgr.var(0), mgr.var(1)
         assert relprod(mgr, f, g, []) == mgr.and_(f, g)
+
+
+class TestSubstitute:
+    def test_cofactor_then_assign(self, mgr):
+        # (x0 & ~x1) | x2 with x0 required true, then cleared.
+        g = substitute(mgr, make(mgr), [(0, True, False)])
+        assert g == mgr.and_(mgr.nvar(0), mgr.or_(mgr.nvar(1), mgr.var(2)))
+
+    def test_literal_above_and_below_root(self, mgr):
+        f = mgr.var(1)
+        g = substitute(mgr, f, [(0, False, True), (1, True, False), (3, False, True)])
+        assert g == mgr.and_all([mgr.var(0), mgr.nvar(1), mgr.var(3)])
+
+    def test_unmet_need_is_zero(self, mgr):
+        assert substitute(mgr, mgr.nvar(0), [(0, True, True)]) == ZERO
+        assert substitute(mgr, ZERO, [(0, False, True)]) == ZERO
+
+    def test_no_literals(self, mgr):
+        f = make(mgr)
+        assert substitute(mgr, f, []) == f
+
+    def test_unsorted_rejected(self, mgr):
+        with pytest.raises(ValueError):
+            substitute(mgr, ONE, [(2, True, True), (1, True, True)])
+        with pytest.raises(ValueError):
+            substitute(mgr, ONE, [(1, True, True), (1, False, True)])
+
+
+class TestMk:
+    def test_matches_ite_construction(self, mgr):
+        bottom_up = mgr.mk(0, mgr.mk(2, ZERO, ONE), mgr.mk(1, ZERO, ONE))
+        assert bottom_up == mgr.ite(mgr.var(0), mgr.var(1), mgr.var(2))
+
+    def test_reduction_rule(self, mgr):
+        assert mgr.mk(0, ONE, ONE) == ONE
+        assert mgr.mk(3, mgr.var(4), mgr.var(4)) == mgr.var(4)
 
 
 class TestRename:

@@ -21,6 +21,7 @@ from repro.bdd import (
     relprod,
     restrict,
     satcount,
+    substitute,
 )
 
 VARS = ["a", "b", "c", "d"]
@@ -133,3 +134,28 @@ def test_canonicity(expr):
     # same node id in one manager, isomorphic evaluation across managers.
     mgr = BddManager()
     assert expr.to_bdd(mgr, LEVELS) == expr.to_bdd(mgr, LEVELS)
+
+
+def literal_lists():
+    """Sorted ``(level, need, put)`` literals over a subset of VARS."""
+    return st.lists(
+        st.tuples(st.sampled_from(range(len(VARS))), st.booleans(), st.booleans()),
+        max_size=len(VARS),
+        unique_by=lambda lit: lit[0],
+    ).map(sorted)
+
+
+@given(expr=exprs(), literals=literal_lists())
+@settings(max_examples=200, deadline=None)
+def test_substitute_matches_quantify_then_assign(expr, literals):
+    mgr = BddManager()
+    f = expr.to_bdd(mgr, LEVELS)
+    guard = mgr.and_all(
+        mgr.var(at) if need else mgr.nvar(at) for at, need, _ in literals
+    )
+    quantified = exists(mgr, mgr.and_(f, guard), [at for at, _, _ in literals])
+    expected = mgr.and_all(
+        [quantified]
+        + [mgr.var(at) if put else mgr.nvar(at) for at, _, put in literals]
+    )
+    assert substitute(mgr, f, literals) == expected

@@ -1,5 +1,7 @@
 """Tests for symbolic reachability and deadlock detection."""
 
+import time
+
 import pytest
 
 from repro.analysis import TimeLimitReached, reachable_markings
@@ -89,3 +91,11 @@ class TestAnalyze:
     def test_time_limit(self):
         with pytest.raises(TimeLimitReached):
             reach(nsdp(6), max_seconds=0.0)
+
+    def test_time_limit_inside_an_iteration(self):
+        # Symbolic NSDP(10) runs for seconds; the deadline is checked
+        # before every per-transition image, so the overrun is one image.
+        start = time.perf_counter()
+        with pytest.raises(TimeLimitReached):
+            reach(nsdp(10), max_seconds=0.3)
+        assert time.perf_counter() - start < 0.3 + 0.15
