@@ -23,8 +23,6 @@ structurally even when its siblings are undecidable here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.analysis.stats import AnalysisResult
 from repro.net.petrinet import PetriNet
 from repro.props.ast import (
@@ -68,9 +66,7 @@ def _cube_unreachable(
     m0 = net.initial_marking
     for invariant in basis.invariants:
         value = invariant.value(m0)
-        needed = sum(
-            (invariant.weights[p] for p in indices), start=Fraction(0)
-        )
+        needed = sum(invariant.weights[p] for p in indices)
         if needed > value:
             return True
     return False

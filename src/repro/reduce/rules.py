@@ -34,7 +34,6 @@ surviving places' token histories embeddable in the original's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from repro.net.petrinet import NetBuilder, PetriNet
@@ -181,7 +180,7 @@ def _invariant_facts(
     basis = analysis.p_invariants
     m0 = net.initial_marking
     index = net.place_index
-    invariants: list[tuple[Mapping[int, Fraction], Fraction]] = []
+    invariants: list[tuple[Mapping[int, int], int]] = []
     for inv in basis.invariants:
         weights = {i: inv.weights[i] for i in inv.support}
         invariants.append((weights, inv.value(m0)))

@@ -10,8 +10,6 @@ exploring; the CLI's ``gpo lint`` renders the full picture.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.net.petrinet import PetriNet
 from repro.static.classify import classify, mcs_consistency
 from repro.static.invariants import (
@@ -37,7 +35,7 @@ class StaticAnalysis:
 
     Obtain via ``net.static_analysis()`` (cached on the net, excluded
     from pickles so worker processes recompute locally instead of
-    shipping fraction matrices around).
+    shipping invariant bases around).
     """
 
     __slots__ = (
@@ -128,7 +126,7 @@ class StaticAnalysis:
         """Best invariant-derived structural token bound of one place."""
         return self.safety_certificate.bounds.get(place)
 
-    def conserved_value(self, index: int) -> Fraction:
+    def conserved_value(self, index: int) -> int:
         """Initial value ``y·m0`` of the ``index``-th P-invariant."""
         return self.p_invariants.invariants[index].value(
             self.net.initial_marking

@@ -17,11 +17,12 @@ elimination is exactly a generating set of the non-negative solution cone.
 Arithmetic is exact throughout — no floats, no numpy.  Every working row
 is kept as the smallest integral vector of its ray (integer combinations
 of integer rows re-reduced by their gcd), which is the classical
-all-integer variant of rational Fourier–Motzkin; the public API surfaces
-the weights as :class:`fractions.Fraction` to make the exactness contract
-explicit in the types.  Support sets are tracked as int bitmasks so the
-minimal-support pruning — the step that dominates on invariant-rich nets —
-costs two machine-int ops per comparison.
+all-integer variant of rational Fourier–Motzkin, so the public weights
+are plain non-negative ``int`` tuples with gcd 1.  Support sets are
+tracked as int bitmasks so the minimal-support pruning — the step that
+dominates on invariant-rich nets — costs two machine-int ops per
+comparison, and it is incremental: each column only checks the rows it
+creates, never the rows it inherits (see :func:`_prune_new_rows`).
 
 The intermediate row count can blow up combinatorially on adversarial
 inputs, so the elimination carries a row cap; a basis computed under a hit
@@ -33,7 +34,7 @@ invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from repro.net.petrinet import PetriNet
@@ -59,21 +60,19 @@ class Invariant:
     """One non-negative integral invariant vector.
 
     ``weights`` is indexed by place (P-invariants) or transition
-    (T-invariants).  Entries are :class:`~fractions.Fraction` to keep the
-    exact-arithmetic contract visible in the type; after normalization
-    they are always non-negative integers with gcd 1.
+    (T-invariants): non-negative integers with gcd 1.
     """
 
-    weights: tuple[Fraction, ...]
+    weights: tuple[int, ...]
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
-        """Indices with a non-zero weight."""
-        return frozenset(i for i, w in enumerate(self.weights) if w != 0)
+        """Indices with a non-zero weight (computed once, then stored)."""
+        return frozenset(i for i, w in enumerate(self.weights) if w)
 
-    def value(self, marking: frozenset[int]) -> Fraction:
+    def value(self, marking: frozenset[int]) -> int:
         """The conserved quantity ``y·m`` of a safe-net marking."""
-        return sum((self.weights[p] for p in marking), start=Fraction(0))
+        return sum(self.weights[p] for p in marking)
 
     def describe(self, names: tuple[str, ...]) -> str:
         """Human-readable ``2*a + b + c`` rendering."""
@@ -116,31 +115,39 @@ _Row = tuple[tuple[int, ...], tuple[int, ...], int]
 
 def _reduce(row: list[int]) -> tuple[int, ...]:
     """Scale an integral ray down to gcd 1 (sign-preserving)."""
-    g = 0
-    for entry in row:
-        g = gcd(g, entry)
+    g = gcd(*row)
     if g > 1:
         return tuple(entry // g for entry in row)
     return tuple(row)
 
 
-def _minimal_support_filter(rows: list[_Row]) -> list[_Row]:
-    """Drop rows whose seed support contains another row's.
+def _prune_new_rows(zero: list[_Row], new: list[_Row]) -> list[_Row]:
+    """Minimal-support pruning of one column's rows, done incrementally.
 
-    Keeping only support-minimal rays is the standard Farkas pruning: it
-    preserves a generating set of the cone while preventing most of the
-    intermediate blow-up.  Rows are scanned in ascending support size, so
-    a kept mask can never be a strict superset of a later one; equal
-    supports keep the first representative (minimal-support rays are
-    unique up to scale, so a duplicated support is never minimal anyway).
+    The result is the support-minimal subset of ``zero + new``, ordered by
+    a stable sort on support size: scanning in that order, a row is kept
+    unless a kept row's support is contained in its own (equal supports
+    keep the first representative — minimal-support rays are unique up to
+    scale, so a duplicated support is never minimal anyway).
+
+    Only ``new`` needs checking.  The ``zero`` rows were the previous
+    column's minimal set, already sorted and pairwise incomparable, and
+    no new row can dominate one: a new row's support contains its
+    positive parent's, itself a previous-column row other than the zero
+    row.  A zero row's support that is contained in a new row's is
+    either strictly smaller or equal and listed first, so it precedes
+    the new row in the scan either way.
     """
-    ordered = sorted(rows, key=lambda row: row[2].bit_count())
-    kept: list[_Row] = []
+    if not new:
+        return zero
     # A kept mask can only be a subset of ``mask`` if its lowest set bit
     # is one of ``mask``'s bits, so bucketing kept masks by lowest bit
     # lets each candidate scan only the buckets of its own support.
     by_low_bit: dict[int, list[int]] = {}
-    for row in ordered:
+    for _, _, mask in zero:
+        by_low_bit.setdefault(mask & -mask, []).append(mask)
+    kept: list[_Row] = []
+    for row in sorted(new, key=lambda row: row[2].bit_count()):
         mask = row[2]
         dominated = False
         remaining = mask
@@ -155,18 +162,18 @@ def _minimal_support_filter(rows: list[_Row]) -> list[_Row]:
             continue
         kept.append(row)
         by_low_bit.setdefault(mask & -mask, []).append(mask)
-    return kept
+    return sorted(zero + kept, key=lambda row: row[2].bit_count())
 
 
 def farkas(
     matrix: list[list[int]], *, max_rows: int = DEFAULT_MAX_ROWS
-) -> tuple[list[tuple[Fraction, ...]], bool]:
+) -> tuple[list[tuple[int, ...]], bool]:
     """Non-negative solutions of ``matrix · y = 0`` (columns of unknowns).
 
     ``matrix`` is a list of constraint rows, each of length ``n`` (one
     entry per unknown).  Returns ``(rays, capped)``: support-minimal
-    integral rays spanning the solution cone, and whether the row budget
-    was hit (making the answer possibly incomplete).
+    integral rays (gcd 1) spanning the solution cone, and whether the row
+    budget was hit (making the answer possibly incomplete).
     """
     if not matrix:
         return [], False
@@ -191,7 +198,7 @@ def farkas(
                 positive.append(row)
             else:
                 negative.append(row)
-        combined = list(zero)
+        new: list[_Row] = []
         seen: set[tuple[int, ...]] = {seed for _, seed, _ in zero}
         overflow = False
         for residual_p, seed_p, mask_p in positive:
@@ -214,15 +221,15 @@ def farkas(
                 if norm_seed in seen:
                     continue
                 seen.add(norm_seed)
-                combined.append(
+                new.append(
                     (norm[:num_constraints], norm_seed, mask_p | mask_n)
                 )
-                if len(combined) > max_rows:
+                if len(zero) + len(new) > max_rows:
                     overflow = True
                     break
             if overflow:
                 break
-        rows = _minimal_support_filter(combined)
+        rows = _prune_new_rows(zero, new)
         if overflow:
             capped = True
             # Keep only the rows that already satisfy the remaining
@@ -233,12 +240,9 @@ def farkas(
                 if all(row[0][k] == 0 for k in range(c + 1, num_constraints))
             ]
             break
-    rays = [
-        tuple(Fraction(entry) for entry in seed)
-        for residual, seed, _ in rows
-        if all(entry == 0 for entry in residual)
-    ]
-    return rays, capped
+    # Every surviving row has a zero residual: each column up to the last
+    # processed one was eliminated, and a capped run dropped the rest.
+    return [seed for _, seed, _ in rows], capped
 
 
 def p_invariants(

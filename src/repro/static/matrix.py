@@ -8,9 +8,9 @@ sequence) is what makes P-invariants (``yᵀCᵀ = 0``) conservation laws and
 T-invariants (``C ᵀx = 0`` … i.e. ``x`` with zero net effect) reproducing
 firing counts.
 
-Entries are plain Python ints (the kernel has no arc weights); downstream
-invariant computation lifts them into :class:`fractions.Fraction` so the
-whole pipeline stays exact — no floats, no numpy.
+Entries are plain Python ints (the kernel has no arc weights), and the
+invariant computation downstream stays in exact integers too — no
+floats, no numpy.
 
 Note the deliberate information loss: a self-loop place ``p ∈ •t ∩ t•``
 contributes ``0`` to ``C[t][p]``.  That is correct for everything derived

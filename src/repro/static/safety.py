@@ -29,7 +29,6 @@ case — see :func:`assured_safety`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.net.petrinet import PetriNet
 from repro.net.validation import check_safe
@@ -92,24 +91,28 @@ def certify_safety(
     if basis is None:
         basis = p_invariants(net)
     m0 = net.initial_marking
+    best: list[int | None] = [None] * net.num_places
+    best_index: list[int] = [0] * net.num_places
+    for index, invariant in enumerate(basis.invariants):
+        value = invariant.value(m0)
+        if value <= 0:
+            continue
+        weights = invariant.weights
+        # Invariants are visited in basis order and a bound only replaces
+        # a strictly larger one, so ties keep the lowest index.
+        for p in invariant.support:
+            bound = value // weights[p]
+            current = best[p]
+            if current is None or bound < current:
+                best[p] = bound
+                best_index[p] = index
     bounds: dict[int, int | None] = {}
     covering: dict[int, int] = {}
     uncovered: list[int] = []
-    values: list[Fraction] = [inv.value(m0) for inv in basis.invariants]
-    for p in range(net.num_places):
-        best: int | None = None
-        best_index: int | None = None
-        for index, invariant in enumerate(basis.invariants):
-            weight = invariant.weights[p]
-            if weight <= 0 or values[index] <= 0:
-                continue
-            bound = int(values[index] / weight)  # exact floor of a Fraction
-            if best is None or bound < best:
-                best = bound
-                best_index = index
-        bounds[p] = best
-        if best is not None and best <= 1 and best_index is not None:
-            covering[p] = best_index
+    for p, place_bound in enumerate(best):
+        bounds[p] = place_bound
+        if place_bound is not None and place_bound <= 1:
+            covering[p] = best_index[p]
         else:
             uncovered.append(p)
     return SafetyCertificate(
