@@ -17,9 +17,12 @@ emptiness/equality     node identity (ROBDDs are canonical)
 =====================  =====================================
 
 The paper's ``r0`` — all maximal independent sets of the conflict graph —
-is built symbolically as *independent* (no edge fully inside) ∧ *dominating*
-(every vertex outside has a neighbor inside), so it never enumerates the
-exponentially many scenarios.
+is built symbolically, one family per connected component of the graph
+(the paper's maximal conflict sets), each in a single top-down pass whose
+memoized states track which undecided transitions are blocked and which
+still have to dominate someone; the component families share no
+variables and are conjoined.  It never enumerates the exponentially many
+scenarios.
 
 This internal use of BDDs does **not** turn the analysis into symbolic
 state-space exploration: GPN states are still enumerated explicitly (3 for
@@ -33,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.bdd.manager import ONE, ZERO, BddManager
 from repro.bdd.ops import any_model, iter_models, satcount
 from repro.families.base import FamilyContext, SetFamily
+from repro.net.structure import connected_components
 
 __all__ = ["BddFamily", "BddContext"]
 
@@ -60,6 +64,8 @@ class BddFamily(SetFamily):
         return BddFamily(self.ctx, self.ctx.mgr.diff(self.node, other.node))
 
     def filter_contains(self, transition: int) -> "BddFamily":
+        # f ∧ x_t: the apply walks f only above x_t's level, and its
+        # computed table carries over between GPN states.
         literal = self.ctx.mgr.var(self.ctx.level_of(transition))
         return BddFamily(self.ctx, self.ctx.mgr.and_(self.node, literal))
 
@@ -168,23 +174,89 @@ class BddContext(FamilyContext):
         if len(adjacency) != n:
             raise ValueError("adjacency size must match the universe")
         mgr = self.mgr
-        conjuncts: list[int] = []
-        # Independence: no conflicting pair inside.
-        for t in range(n):
-            for u in adjacency[t]:
-                if u > t:
-                    conjuncts.append(
-                        mgr.not_(
-                            mgr.and_(
-                                mgr.var(self.level_of(t)),
-                                mgr.var(self.level_of(u)),
-                            )
-                        )
-                    )
-        # Maximality (domination): every vertex is in, or has a neighbor in.
-        for t in range(n):
-            clause = mgr.var(self.level_of(t))
-            for u in adjacency[t]:
-                clause = mgr.or_(clause, mgr.var(self.level_of(u)))
-            conjuncts.append(clause)
-        return BddFamily(self, mgr.and_all(conjuncts))
+        # A maximal independent set of the whole graph is one per connected
+        # component (the maximal conflict sets of Def. 2.2), and components
+        # share no variables: r0 is the conjunction of per-component
+        # families.  Deepest component first, so each conjunction stacks a
+        # small diagram on top of the accumulated one.
+        families = [
+            self._component_mis(component, adjacency)
+            for component in connected_components(adjacency)
+        ]
+        families.sort(key=mgr.level, reverse=True)
+        return BddFamily(self, mgr.and_all(families))
+
+    def _component_mis(
+        self,
+        component: frozenset[int],
+        adjacency: Sequence[set[int]] | Sequence[frozenset[int]],
+    ) -> int:
+        """Maximal independent sets of one connected component.
+
+        Built top-down along the variable order in one memoized pass over
+        the members, with sets of undecided members as bitmasks over
+        member positions.  The state before deciding member ``i`` is:
+
+        * ``blocked`` — undecided members with a chosen neighbor: they
+          must stay out, and they are already dominated;
+        * ``needs`` — for each unchosen member not yet dominated, the
+          undecided members that could still dominate it (one of them
+          must be chosen), kept inclusion-minimal since a smaller need
+          implies a larger one.
+
+        Equal states have equal remaining functions, so the memo turns
+        the walk into the diagram's construction; ``mk`` merges the
+        states that still differ but agree as functions.
+        """
+        mgr = self.mgr
+        members = sorted(component, key=self.level_of)
+        levels = [self.level_of(t) for t in members]
+        position = {t: i for i, t in enumerate(members)}
+        size = len(members)
+        # later[i]: the members after member i.
+        later = [((1 << size) - 1) & ~((2 << i) - 1) for i in range(size)]
+        neighbors = [
+            sum(1 << position[u] for u in adjacency[t]) for t in members
+        ]
+        memo: dict[tuple[int, int, tuple[int, ...]], int] = {}
+
+        def build(i: int, blocked: int, needs: tuple[int, ...] | None) -> int:
+            if needs is None:
+                return ZERO  # a member can no longer be dominated
+            if i == size:
+                return ONE  # every need was met on the way down
+            key = (i, blocked, needs)
+            node = memo.get(key)
+            if node is not None:
+                return node
+            bit = 1 << i
+            # x_i = 0; member i needs a later neighbor unless blocked.
+            lo_needs = [need & ~bit for need in needs]
+            if not blocked & bit:
+                lo_needs.append(neighbors[i] & later[i] & ~blocked)
+            lo = build(i + 1, blocked & later[i], _minimal(lo_needs))
+            # x_i = 1: blocks and dominates its later neighbors.
+            if blocked & bit:
+                hi = ZERO
+            else:
+                hi_blocked = (blocked | neighbors[i]) & later[i]
+                hi_needs = [
+                    need & ~hi_blocked for need in needs if not need & bit
+                ]
+                hi = build(i + 1, hi_blocked, _minimal(hi_needs))
+            node = mgr.mk(levels[i], lo, hi)
+            memo[key] = node
+            return node
+
+        return build(0, 0, ())
+
+
+def _minimal(needs: list[int]) -> tuple[int, ...] | None:
+    """Inclusion-minimal masks in canonical order; ``None`` if one is empty."""
+    kept: list[int] = []
+    for need in sorted(set(needs), key=int.bit_count):
+        if not need:
+            return None
+        if all(other & ~need for other in kept):
+            kept.append(need)
+    return tuple(sorted(kept))

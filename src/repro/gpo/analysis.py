@@ -249,9 +249,10 @@ def _explore(
     net: PetriNet, options: GpoOptions
 ) -> tuple[GpoResult, SearchOutcome[GpnState], GpnSpace]:
     """Drive the GPO space; shared by :func:`explore_gpo` and :func:`analyze`."""
-    gpn = Gpn(net, backend=options.backend)
-    space = GpnSpace(gpn, options)
     tracer = current_tracer()
+    with tracer.span(names.SPAN_GPN_BUILD, backend=options.backend):
+        gpn = Gpn(net, backend=options.backend)
+    space = GpnSpace(gpn, options)
     observers = (TracingObserver(tracer),) if tracer.enabled else ()
     outcome = _drive(
         space,

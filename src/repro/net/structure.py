@@ -27,6 +27,7 @@ from repro.net.petrinet import PetriNet
 __all__ = [
     "conflict",
     "conflict_graph",
+    "connected_components",
     "maximal_conflict_sets",
     "conflict_places",
     "are_independent",
@@ -60,20 +61,17 @@ def conflict_graph(net: PetriNet) -> list[set[int]]:
                 adjacency[u].add(t)
     return adjacency
 
-def maximal_conflict_sets(net: PetriNet) -> list[frozenset[int]]:
-    """Maximal conflict sets: connected components of the conflict graph.
+def connected_components(
+    adjacency: Sequence[set[int]] | Sequence[frozenset[int]],
+) -> list[frozenset[int]]:
+    """Connected components of an undirected graph given by adjacency sets.
 
-    Definition 2.2 characterizes ``mcs(T)`` as the sets ``T'`` such that no
-    transition outside ``T'`` conflicts with a member of ``T'``; the
-    inclusion-minimal non-empty such sets are precisely the connected
-    components of the conflict graph.  A transition with no conflicts forms
-    a singleton MCS.  Components are returned sorted by smallest member so
-    the output is deterministic.
+    Isolated vertices form singleton components.  Components are returned
+    sorted by smallest member so the output is deterministic.
     """
-    adjacency = conflict_graph(net)
     seen: set[int] = set()
     components: list[frozenset[int]] = []
-    for start in range(net.num_transitions):
+    for start in range(len(adjacency)):
         if start in seen:
             continue
         stack = [start]
@@ -86,8 +84,20 @@ def maximal_conflict_sets(net: PetriNet) -> list[frozenset[int]]:
             stack.extend(adjacency[node] - component)
         seen |= component
         components.append(frozenset(component))
-    components.sort(key=min)
     return components
+
+
+def maximal_conflict_sets(net: PetriNet) -> list[frozenset[int]]:
+    """Maximal conflict sets: connected components of the conflict graph.
+
+    Definition 2.2 characterizes ``mcs(T)`` as the sets ``T'`` such that no
+    transition outside ``T'`` conflicts with a member of ``T'``; the
+    inclusion-minimal non-empty such sets are precisely the connected
+    components of the conflict graph.  A transition with no conflicts forms
+    a singleton MCS.  Components are returned sorted by smallest member so
+    the output is deterministic.
+    """
+    return connected_components(conflict_graph(net))
 
 
 def conflict_places(net: PetriNet) -> frozenset[int]:
@@ -143,7 +153,7 @@ class StructuralInfo:
     def __init__(self, net: PetriNet) -> None:
         self.net = net
         self.adjacency = conflict_graph(net)
-        self.mcs_list = maximal_conflict_sets(net)
+        self.mcs_list = connected_components(self.adjacency)
         self.mcs_of: dict[int, int] = {}
         for index, component in enumerate(self.mcs_list):
             for t in component:

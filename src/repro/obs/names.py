@@ -45,6 +45,7 @@ __all__ = [
     "SPAN_CERTIFICATE",
     "SPAN_DIAGNOSE",
     "SPAN_ENABLED_FAMILIES",
+    "SPAN_GPN_BUILD",
     "SPAN_JOB",
     "SPAN_MULTIPLE_FIRE",
     "SPAN_PARALLEL_LEVEL",
@@ -179,6 +180,8 @@ SPAN_SEARCH = "search"
 SPAN_WITNESS = "witness"
 #: One stubborn-set computation (per expanded marking).
 SPAN_STUBBORN_SET = "stubborn/set"
+#: GPN construction: structural analysis, family context and ``r0``.
+SPAN_GPN_BUILD = "gpo/gpn_build"
 #: One ``enabled_families`` scenario-maintenance pass (per GPN state).
 SPAN_ENABLED_FAMILIES = "gpo/enabled_families"
 #: One Def. 3.6 multiple firing.

@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.analysis.stats import AnalysisResult, DeadlockWitness, stopwatch
+from repro.analysis.stats import (
+    AnalysisResult,
+    Deadline,
+    DeadlockWitness,
+    TimeLimitReached,
+    stopwatch,
+)
 from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
 from repro.obs.record import record_result
@@ -30,6 +36,7 @@ from repro.props.eval import (
     reject_safe,
     run_property,
 )
+from repro.search.core import abort_note
 from repro.unfolding.prefix import Prefix, unfold
 
 __all__ = ["prefix_markings", "deadlock_via_prefix", "analyze"]
@@ -62,7 +69,10 @@ def _enabled_events(prefix: Prefix, cut: frozenset[int]) -> list[int]:
 
 
 def prefix_markings(
-    prefix: Prefix, *, limit: int | None = 100_000
+    prefix: Prefix,
+    *,
+    limit: int | None = 100_000,
+    deadline: Deadline | None = None,
 ) -> set[Marking]:
     """All markings represented by configurations of the prefix.
 
@@ -70,6 +80,9 @@ def prefix_markings(
     whose presets are in the current cut; deduplicates on cuts.  By the
     completeness theorem this covers every reachable marking of the
     original net (asserted by the tests against explicit reachability).
+    ``deadline`` is checked once per dequeued cut; on expiry it raises
+    :class:`~repro.analysis.stats.TimeLimitReached` with the number of
+    cuts seen.
     """
     initial = _cut_conditions(prefix, frozenset())
     seen_cuts: set[frozenset[int]] = {initial}
@@ -77,6 +90,8 @@ def prefix_markings(
     queue: deque[frozenset[int]] = deque([initial])
     while queue:
         cut = queue.popleft()
+        if deadline is not None:
+            deadline.check(len(seen_cuts))
         for event_index in _enabled_events(prefix, cut):
             event = prefix.events[event_index]
             new_cut = cut - frozenset(event.preset)
@@ -96,15 +111,16 @@ def prefix_markings(
 
 
 def deadlock_via_prefix(
-    net: PetriNet, prefix: Prefix
+    net: PetriNet, prefix: Prefix, *, deadline: Deadline | None = None
 ) -> Marking | None:
     """A reachable dead marking found by walking the prefix, or ``None``.
 
     Every reachable marking is a represented cut, so checking net-level
     enabledness on each cut marking decides deadlock freedom.  (This
     validates the prefix; it is not faster than explicit search.)
+    ``deadline`` bounds the walk as in :func:`prefix_markings`.
     """
-    for marking in prefix_markings(prefix):
+    for marking in prefix_markings(prefix, deadline=deadline):
         if net.is_deadlocked(marking):
             return marking
     return None
@@ -161,6 +177,9 @@ def analyze(
         with tracer.span(names.SPAN_CERTIFICATE):
             certified = net.static_analysis().safety_certificate.certified
         with stopwatch() as elapsed:
+            # One budget for the whole run: the prefix walk gets what the
+            # unfolding left of it.
+            deadline = Deadline.of(max_seconds)
             with tracer.span(names.SPAN_UNFOLD):
                 prefix = unfold(
                     net, max_events=max_events, max_seconds=max_seconds
@@ -171,19 +190,28 @@ def analyze(
             dead = None
             found: Marking | None = None
             enumerated = True
+            timed_out = False
             with tracer.span(names.SPAN_WITNESS):
-                if goal_fn is None:
-                    dead = (
-                        deadlock_via_prefix(net, prefix) if exhaustive else None
-                    )
-                else:
-                    try:
-                        for marking in prefix_markings(prefix):
+                try:
+                    if goal_fn is None:
+                        dead = (
+                            deadlock_via_prefix(net, prefix, deadline=deadline)
+                            if exhaustive
+                            else None
+                        )
+                    else:
+                        try:
+                            markings = prefix_markings(prefix, deadline=deadline)
+                        except TimeLimitReached:
+                            raise
+                        except RuntimeError:  # the enumeration limit
+                            enumerated, markings = False, set()
+                        for marking in markings:
                             if goal_fn(net.marking_names(marking)):
                                 found = marking
                                 break
-                    except RuntimeError:
-                        enumerated = False
+                except TimeLimitReached:
+                    timed_out = True
         witness = None
         if goal_fn is None:
             if dead is not None and want_witness:
@@ -202,13 +230,15 @@ def analyze(
         if goal_fn is not None:
             if found is not None:
                 holds: bool | None = goal_hit_holds
-            elif exhaustive and enumerated:
+            elif exhaustive and enumerated and not timed_out:
                 holds = not goal_hit_holds
             else:
                 holds = None
             extras.update(property_extras(goal_prop, holds))
             if not enumerated:
                 extras["aborted"] = "prefix enumeration limit exceeded"
+        if timed_out:
+            extras["aborted"] = abort_note("time-budget", max_seconds=max_seconds)
         result = AnalysisResult(
             analyzer="unfolding",
             net_name=net.name,
@@ -217,7 +247,8 @@ def analyze(
             deadlock=dead is not None,
             time_seconds=elapsed[0],
             witness=witness,
-            exhaustive=exhaustive or (goal_fn is not None and found is not None),
+            exhaustive=(exhaustive and not timed_out)
+            or (goal_fn is not None and found is not None),
             extras=extras,
         )
         root.set(states=result.states, edges=result.edges)

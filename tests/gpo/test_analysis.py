@@ -14,6 +14,9 @@ from repro.models import (
     over,
     rw,
 )
+from repro.obs import names
+from repro.obs.summary import build_summary
+from repro.obs.tracer import Tracer, activate
 
 
 class TestHeadlineClaims:
@@ -176,3 +179,17 @@ class TestTraceLabels:
         result = explore_gpo(nsdp(2))
         witness = result.witnesses(limit=1)[0]
         assert all(step.startswith("{") or step for step in witness.trace)
+
+
+class TestSpanCoverage:
+    def test_rw15_analyze_self_time_is_small(self):
+        # Every phase of a GPO run sits in a child span of ``analyze``
+        # (certificate, gpo/gpn_build with the r0 construction, search,
+        # witness), so the root's own remainder stays a sliver.
+        tracer = Tracer()
+        with activate(tracer):
+            analyze(rw(15))
+        (root,) = build_summary(tracer.records())
+        assert root.name == names.SPAN_ANALYZE
+        assert names.SPAN_GPN_BUILD in root.children
+        assert root.self_ns <= 0.10 * root.total_ns

@@ -1,9 +1,12 @@
 """Completeness and deadlock tests for prefix-based analysis."""
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import has_deadlock, reachable_markings
+from repro.analysis.stats import Deadline, TimeLimitReached
 from repro.models import (
     bounded_buffer,
     choice_net,
@@ -64,6 +67,38 @@ class TestAnalyze:
         result = analyze(nsdp(3), max_events=10)
         assert not result.exhaustive
         assert not result.deadlock  # verdict withheld
+
+    def test_time_budget_covers_the_prefix_walk(self):
+        # OVER(6) unfolds in a few milliseconds but its prefix walk takes
+        # seconds; the budget must stop the walk, not just the unfolding.
+        started = time.perf_counter()
+        result = analyze(over(6), max_seconds=0.1)
+        assert time.perf_counter() - started < 0.5
+        assert not result.exhaustive
+        assert not result.deadlock  # verdict withheld
+        assert result.extras["aborted"] == "> 0s"
+
+    def test_time_budget_covers_the_property_walk(self):
+        result = analyze(over(6), max_seconds=0.1, prop="reachable(req0)")
+        assert not result.exhaustive
+        assert result.extras["property_holds"] is None
+        assert "aborted" in result.extras
+
+
+class TestPrefixDeadline:
+    def test_expired_deadline_stops_the_walk(self):
+        net = over(2)
+        prefix = unfold(net)
+        with pytest.raises(TimeLimitReached) as raised:
+            deadlock_via_prefix(net, prefix, deadline=Deadline(0.0))
+        assert raised.value.states_explored == 1
+
+    def test_open_deadline_changes_nothing(self):
+        net = over(2)
+        prefix = unfold(net)
+        assert prefix_markings(
+            prefix, deadline=Deadline(60.0)
+        ) == prefix_markings(prefix)
 
 
 @given(net=state_machine_nets())
