@@ -10,15 +10,12 @@
 2. **GPO family backend** — BDD-backed scenario families vs explicit
    frozensets.  Explicit families carry exponentially many scenarios per
    state; the BDD backend keeps them polynomial on the benchmarks.
-3. **Stubborn seed strategy** — "best" (try all seeds, smallest enabled
-   part) vs "first"; quantifies what the extra closure work buys.
 """
 
 import pytest
 
 from repro.gpo import analyze as gpo_analyze
 from repro.models import conflict_pairs_net, nsdp, rw
-from repro.stubborn import explore_reduced
 from repro.symbolic import reach
 from repro.unfolding import unfold
 
@@ -44,12 +41,6 @@ class TestShape:
             bdd = gpo_analyze(net, backend="bdd")
             assert explicit.states == bdd.states
             assert explicit.deadlock == bdd.deadlock
-
-    def test_best_strategy_reduces_more(self):
-        net = conflict_pairs_net(6)
-        best = explore_reduced(net, strategy="best").num_states
-        first = explore_reduced(net, strategy="first").num_states
-        assert best <= first
 
     def test_unfolding_prefix_linear_on_conflict_pairs(self):
         # Where PO-reduced graphs blow up (2^(n+1) - 1 states), the
@@ -91,8 +82,3 @@ def test_bench_gpo_backend_conflict_pairs(benchmark, backend):
     # 2^10 scenarios: the explicit backend pays linearly in scenarios,
     # the BDD backend logarithmically.
     benchmark(lambda: gpo_analyze(conflict_pairs_net(10), backend=backend))
-
-
-@pytest.mark.parametrize("strategy", ["best", "first"])
-def test_bench_stubborn_strategy(benchmark, strategy):
-    benchmark(lambda: explore_reduced(nsdp(4), strategy=strategy))

@@ -8,24 +8,17 @@ exactly this state set, and that GPO's scenario mapping stays inside it.
 
 Since the search-core refactor this module is a thin
 :class:`~repro.search.core.SearchSpace` adapter over the generic driver in
-:mod:`repro.search.core`.  Two interchangeable spaces implement the same
-semantics:
-
-* :class:`KernelMarkingSpace` — the default fast path: packed integer
-  markings from :class:`repro.net.kernel.MarkingKernel`, one fused
-  enable-and-fire pass per state, and incremental enabled-set maintenance
-  (only transitions touching the fired preset/postset are re-tested);
-* :class:`MarkingSpace` — the frozenset reference path, selected with
-  ``use_kernel=False`` (and by ``gpo check --no-kernel``) so the slow
-  path stays exercised and debuggable.
-
-Both produce byte-identical graphs (states in the same discovery order,
-edges in the same order) — the differential test-suite holds them to that.
+:mod:`repro.search.core`.  :class:`KernelMarkingSpace` runs on packed
+integer markings from :class:`repro.net.kernel.MarkingKernel`, one fused
+enable-and-fire pass per state, with incremental enabled-set maintenance
+(only transitions touching the fired preset/postset are re-tested).
+Graphs are decoded to classical frozenset markings at the report
+boundary.  The differential test-suite holds the kernel to the
+frozenset rules of :class:`~repro.net.petrinet.PetriNet` through an
+independent oracle space (``tests/oracle.py``).
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 from repro.analysis.stats import AnalysisResult, stopwatch
 from repro.net.petrinet import Marking, PetriNet
@@ -42,7 +35,6 @@ from repro.props.eval import (
 )
 from repro.search.core import (
     SearchContext,
-    SearchOutcome,
     abort_note,
     raise_if_bounded,
 )
@@ -54,7 +46,6 @@ from repro.search.witness import extract_witness
 
 __all__ = [
     "KernelMarkingSpace",
-    "MarkingSpace",
     "analyze",
     "explore",
     "extract_witness",
@@ -62,48 +53,8 @@ __all__ = [
 ]
 
 
-class MarkingSpace:
-    """The full interleaving semantics as a :class:`SearchSpace`.
-
-    Reference (frozenset) path: states are classical markings; every
-    enabled transition fires.  The enabled set is memoized per
-    driver-visited state (the driver passes the identical object to
-    ``is_deadlock`` and ``successors``).
-    """
-
-    uses_kernel = False
-
-    def __init__(self, net: PetriNet) -> None:
-        self.net = net
-        self._memo_marking: Marking | None = None
-        self._memo_enabled: Sequence[int] = ()
-
-    def _enabled(self, marking: Marking) -> Sequence[int]:
-        if marking is not self._memo_marking:
-            self._memo_enabled = self.net.enabled_transitions(marking)
-            self._memo_marking = marking
-        return self._memo_enabled
-
-    def initial(self) -> Marking:
-        return self.net.initial_marking
-
-    def is_deadlock(self, marking: Marking) -> bool:
-        return not self._enabled(marking)
-
-    def successors(
-        self, marking: Marking, ctx: SearchContext[Marking]
-    ) -> Iterable[tuple[str, Marking]]:
-        net = self.net
-        for t in self._enabled(marking):
-            yield net.transitions[t], net._fire_enabled(t, marking)
-
-    def instrumentation(self) -> dict[str, object]:
-        """No adapter-specific counters beyond the driver's."""
-        return {}
-
-
 class KernelMarkingSpace:
-    """The same semantics on packed integer markings (the fast path).
+    """The full interleaving semantics as a :class:`SearchSpace`.
 
     States are ``int`` bitmasks.  Each stored state's enabled set is kept
     as a transition bitmask in ``_enabled_masks``; a successor's mask is
@@ -112,8 +63,6 @@ class KernelMarkingSpace:
     (``kernel.affected``), which turns the per-state enabling cost from
     O(|T|·|preset|) into O(affected).
     """
-
-    uses_kernel = True
 
     def __init__(self, net: PetriNet) -> None:
         self.net = net
@@ -162,28 +111,12 @@ class KernelMarkingSpace:
         return {}
 
 
-def _marking_space(
-    net: PetriNet, use_kernel: bool
-) -> MarkingSpace | KernelMarkingSpace:
-    return KernelMarkingSpace(net) if use_kernel else MarkingSpace(net)
-
-
-def _decoded_graph(
-    outcome: SearchOutcome, space: MarkingSpace | KernelMarkingSpace
-) -> ReachabilityGraph[Marking]:
-    """The outcome's graph over classical markings (decode boundary)."""
-    if isinstance(space, KernelMarkingSpace):
-        return outcome.graph.map_states(space.decode)
-    return outcome.graph
-
-
 def explore(
     net: PetriNet,
     *,
     max_states: int | None = None,
     max_seconds: float | None = None,
     stop_at_first_deadlock: bool = False,
-    use_kernel: bool = True,
 ) -> ReachabilityGraph[Marking]:
     """Build the full reachability graph RG(N) by breadth-first search.
 
@@ -192,11 +125,10 @@ def explore(
     time pass; with ``stop_at_first_deadlock`` the search returns as soon
     as one deadlocked marking is recorded (useful for big deadlocking
     instances).  ``analyze`` uses the driver's partial results instead of
-    these exceptions.  The returned graph always carries classical
-    frozenset markings; with ``use_kernel`` (the default) the exploration
-    itself runs on packed integers and is decoded here.
+    these exceptions.  The exploration runs on packed integers; the
+    returned graph is decoded to classical frozenset markings.
     """
-    space = _marking_space(net, use_kernel)
+    space = KernelMarkingSpace(net)
     outcome = _drive(
         space,
         order="bfs",
@@ -205,7 +137,7 @@ def explore(
         stop_at_first_deadlock=stop_at_first_deadlock,
     )
     raise_if_bounded(outcome, max_states=max_states, max_seconds=max_seconds)
-    return _decoded_graph(outcome, space)
+    return outcome.graph.map_states(space.decode)
 
 
 def reachable_markings(
@@ -213,10 +145,9 @@ def reachable_markings(
     *,
     max_states: int | None = None,
     max_seconds: float | None = None,
-    use_kernel: bool = True,
 ) -> set[Marking]:
     """The set of reachable markings explored depth-first."""
-    space = _marking_space(net, use_kernel)
+    space = KernelMarkingSpace(net)
     outcome = _drive(
         space,
         order="dfs",
@@ -224,7 +155,7 @@ def reachable_markings(
         max_seconds=max_seconds,
     )
     raise_if_bounded(outcome, max_states=max_states, max_seconds=max_seconds)
-    return set(_decoded_graph(outcome, space).states())
+    return {space.decode(bits) for bits in outcome.graph.states()}
 
 
 def analyze(
@@ -233,7 +164,6 @@ def analyze(
     max_states: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    use_kernel: bool = True,
     prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Run full reachability analysis and package an :class:`AnalysisResult`.
@@ -241,9 +171,6 @@ def analyze(
     Budget overruns (state or wall-clock) are absorbed into a bounded,
     non-exhaustive result carrying the real progress made — the driver
     returns the partial graph directly, nothing is re-explored.
-    ``use_kernel`` selects the packed-integer fast path (default) or the
-    frozenset reference path; both report identical counts and witnesses
-    (``extras["kernel"]`` records which one ran).
 
     ``prop`` asks a property question instead of the default deadlock
     one: ``reachable(p)`` / ``invariant(p)`` compile to a goal observer
@@ -261,22 +188,19 @@ def analyze(
                 max_states=max_states,
                 max_seconds=max_seconds,
                 want_witness=want_witness,
-                use_kernel=use_kernel,
                 prop=leaf,
             ),
             analyzer="full",
             net_name=net.name,
         )
-    space = _marking_space(net, use_kernel)
+    space = KernelMarkingSpace(net)
     goal = None
     if goal_prop is not None:
         reject_safe("full", goal_prop)
         goal = compile_goal(
             net,
             goal_prop,
-            marking_of=(
-                space.decode if isinstance(space, KernelMarkingSpace) else None
-            ),
+            marking_of=space.decode,
         )
     tracer = current_tracer()
     with tracer.span(names.SPAN_ANALYZE, analyzer="full", net=net.name) as root:
@@ -304,11 +228,8 @@ def analyze(
                 with tracer.span(names.SPAN_WITNESS):
                     witness = goal.witness(net, graph)
         elif graph.deadlocks and want_witness:
-            decode = (
-                space.decode if isinstance(space, KernelMarkingSpace) else None
-            )
             with tracer.span(names.SPAN_WITNESS):
-                witness = extract_witness(net, graph, decode=decode)
+                witness = extract_witness(net, graph, decode=space.decode)
         extras = outcome.stats.as_extras()
         extras.update(space.instrumentation())
         extras[names.SAFETY_CERTIFIED] = certified

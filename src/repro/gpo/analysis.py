@@ -137,14 +137,7 @@ class GpnSpace:
     the anti-ignoring expansions (footnote 2) keyed on the driver's DFS
     path.  The per-state enabled/dead families are memoized so the two
     hooks share one computation.
-
-    ``uses_kernel`` is True because the firing semantics walk the net
-    through the compiled :class:`~repro.net.kernel.MarkingKernel` index
-    tables (states themselves stay family tuples — there is no packed
-    representation for scenario families).
     """
-
-    uses_kernel = True
 
     def __init__(self, gpn: Gpn, options: GpoOptions) -> None:
         self.gpn = gpn

@@ -29,18 +29,10 @@ Subcommands::
                               # and its replayable back-mapping trace
     gpo dot FILE [--rg]       # DOT export of the net (or its full RG)
     gpo bench-model NAME SIZE # run all analyzers on one benchmark instance
-    gpo bench-kernel [--quick] [--out BENCH_kernel.json]
-                [--shards 1,2,4] [--parallel-out BENCH_parallel.json]
-                              # bitmask kernel vs frozenset reference
-                              # path; --shards sweeps the sharded
-                              # parallel explorer too
     gpo serve [--port 8080] [--jobs N] [--queue-capacity N]
                               # verification-as-a-service HTTP daemon
     gpo loadtest [--quick] [--requests N] [--out BENCH_serve.json]
                               # replay a mixed workload against gpo serve
-    gpo bench-diff OLD NEW [--fail-threshold 25] [--min-seconds 0.5]
-                              # compare two BENCH_*.json artifacts;
-                              # exit 1 on regression, 2 on shape error
     gpo slo [--url URL | --file metrics.prom]
                               # per-phase serve SLO report (queue wait,
                               # reduce, search, serialize) from /metrics
@@ -71,9 +63,9 @@ default ``.gpo-cache``) and a JSONL lifecycle-event log (``--events PATH``,
 default ``<cache-dir>/events.jsonl`` when caching is on).
 
 ``profile`` runs one analyzer in-process under the observability layer
-(:mod:`repro.obs`) and prints the span tree; ``check`` / ``table1`` /
-``bench-kernel`` accept ``--trace PATH`` / ``--metrics PATH`` to export a
-Chrome trace and Prometheus metrics from an otherwise normal run.
+(:mod:`repro.obs`) and prints the span tree; ``check`` / ``table1``
+accept ``--trace PATH`` / ``--metrics PATH`` to export a Chrome trace and
+Prometheus metrics from an otherwise normal run.
 
 ``check`` / ``race`` / ``query`` / ``table1`` / ``bench-model`` /
 ``reach`` accept ``--reduce[=auto|aggressive]``: the :mod:`repro.reduce`
@@ -103,7 +95,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.events import EventSink, JsonlEventSink
 from repro.engine.jobs import ANALYZERS
 from repro.engine.portfolio import DEFAULT_PORTFOLIO, run_race
-from repro.harness import benchdiff as benchdiff_defaults
 from repro.harness.figures import (
     figure1_series,
     figure2_series,
@@ -237,10 +228,9 @@ def _reach_property(constraints):
 
 
 def _cmd_reach(args: argparse.Namespace) -> int:
-    from repro.analysis.reachability import MarkingSpace
+    from repro.analysis.reachability import KernelMarkingSpace
     from repro.props.compat import unsupported_reason
     from repro.search.query import find_state
-    from repro.stubborn.explorer import StubbornSpace
 
     net = _load(args.file)
     try:
@@ -292,14 +282,10 @@ def _cmd_reach(args: argparse.Namespace) -> int:
                 "places/transitions/arcs"
             )
 
-    space = (
-        StubbornSpace(search_net)
-        if args.method == "stubborn"
-        else MarkingSpace(search_net)
-    )
+    space = KernelMarkingSpace(search_net)
 
-    def hit(marking) -> bool:
-        names = search_net.marking_names(marking)
+    def hit(bits: int) -> bool:
+        names = search_net.marking_names(space.decode(bits))
         return any(c.holds_in(names) for c in constraints)
 
     result = find_state(
@@ -334,15 +320,10 @@ def _cmd_reach(args: argparse.Namespace) -> int:
         if trace is not None:
             print("trace: " + (" ; ".join(trace) or "<initial>"))
         return 0
-    # A stubborn-set search only preserves deadlocks, not general
-    # reachability: a miss is inconclusive even when exhaustive.
-    if result.exhaustive and args.method == "full":
+    if result.exhaustive:
         print(f"not reachable  {searched}")
         return 1
-    reason = (
-        result.outcome.stop_reason or "reduced search misses are inconclusive"
-    )
-    print(f"INCONCLUSIVE ({reason})  {searched}")
+    print(f"INCONCLUSIVE ({result.outcome.stop_reason})  {searched}")
     print(f"explored {stats.expanded} states at {stats.states_per_second:.0f}/s")
     return 2
 
@@ -571,9 +552,7 @@ def _run_check(args: argparse.Namespace) -> int:
     if args.shards > 1:
         return _check_sharded(walk_net, args)
     with obs_span(names.SPAN_BOUNDED_CHECK, net=net.name):
-        verdict = check_safe(
-            walk_net, max_states=args.max_states, use_kernel=not args.no_kernel
-        )
+        verdict = check_safe(walk_net, max_states=args.max_states)
     if verdict.status == "safe":
         print(f"safety: 1-safe (exhaustive, {verdict.states} states)")
         return 0
@@ -793,71 +772,6 @@ def _cmd_bench_model(args: argparse.Namespace) -> int:
             sink.close()
 
 
-def _cmd_bench_kernel(args: argparse.Namespace) -> int:
-    from repro.harness.benchkernel import (
-        format_bench,
-        run_bench,
-        write_bench,
-    )
-
-    problems = args.problems.split(",") if args.problems else None
-    if problems:
-        for problem in problems:
-            if problem not in PROBLEMS:
-                print(f"unknown problem {problem!r}; choose from "
-                      f"{', '.join(PROBLEMS)}", file=sys.stderr)
-                return 2
-    shard_sweep: list[int] | None = None
-    if args.shards:
-        try:
-            shard_sweep = [int(part) for part in args.shards.split(",")]
-        except ValueError:
-            print(
-                f"--shards expects a comma list of counts, got {args.shards!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if any(count < 1 for count in shard_sweep):
-            print("--shards counts must be >= 1", file=sys.stderr)
-            return 2
-    with observed(trace_out=args.trace, metrics_out=args.metrics):
-        rows = run_bench(quick=args.quick, problems=problems)
-        parallel_rows = None
-        baseline = None
-        if shard_sweep:
-            from repro.harness.benchparallel import (
-                format_bench_parallel,
-                run_bench_parallel,
-                write_bench_parallel,
-            )
-
-            parallel_rows, baseline = run_bench_parallel(
-                shards=shard_sweep, quick=args.quick, problems=problems
-            )
-    print(format_bench(rows))
-    if args.out:
-        write_bench(rows, args.out)
-        print(f"[bench] wrote {args.out}")
-    if parallel_rows is not None and baseline is not None:
-        print()
-        print(format_bench_parallel(parallel_rows, baseline))
-        if args.parallel_out:
-            write_bench_parallel(parallel_rows, baseline, args.parallel_out)
-            print(f"[bench] wrote {args.parallel_out}")
-    mismatched = not all(row.counts_match for row in rows)
-    if parallel_rows is not None:
-        mismatched = mismatched or not all(
-            row.counts_match for row in parallel_rows
-        )
-    if mismatched:
-        print(
-            "[bench] kernel/reference state or edge counts disagree",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -944,30 +858,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.harness.benchdiff import (
-        BenchDiffError,
-        diff_bench,
-        format_diff,
-        load_bench,
-    )
-
-    try:
-        old = load_bench(args.old)
-        new = load_bench(args.new)
-        diff = diff_bench(
-            old,
-            new,
-            fail_threshold=args.fail_threshold,
-            min_seconds=args.min_seconds,
-        )
-    except BenchDiffError as exc:
-        print(f"bench-diff: {exc}", file=sys.stderr)
-        return 2
-    print(format_diff(diff, old, new))
-    return diff.exit_code
 
 
 def _fetch_url(url: str, timeout: float = 10.0) -> bytes:
@@ -1264,12 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     p_check.add_argument("--max-states", type=int, default=100_000)
     p_check.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help="run the dynamic safety walk on the frozenset reference "
-        "rules instead of the bitmask marking kernel",
-    )
-    p_check.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -1398,40 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_reduce_flag(p_bench)
     p_bench.set_defaults(fn=_cmd_bench_model)
 
-    p_kernel = sub.add_parser(
-        "bench-kernel",
-        help="benchmark the bitmask marking kernel against the frozenset "
-        "reference path (fails on any count disagreement)",
-    )
-    p_kernel.add_argument(
-        "--quick",
-        action="store_true",
-        help="small instances, one repetition (CI smoke; rates are noise)",
-    )
-    p_kernel.add_argument("--problems", help="comma list, e.g. NSDP,RW")
-    p_kernel.add_argument(
-        "--out",
-        default="BENCH_kernel.json",
-        metavar="PATH",
-        help="JSON artifact path (default BENCH_kernel.json; '' disables)",
-    )
-    p_kernel.add_argument(
-        "--shards",
-        default=None,
-        metavar="LIST",
-        help="also sweep the sharded parallel explorer over these shard "
-        "counts (comma list, e.g. 1,2,4) on the default instance",
-    )
-    p_kernel.add_argument(
-        "--parallel-out",
-        default="BENCH_parallel.json",
-        metavar="PATH",
-        help="JSON artifact for the --shards sweep "
-        "(default BENCH_parallel.json; '' disables)",
-    )
-    add_obs_flags(p_kernel)
-    p_kernel.set_defaults(fn=_cmd_bench_kernel)
-
     p_serve = sub.add_parser(
         "serve",
         help="verification-as-a-service HTTP daemon (shared pool + cache)",
@@ -1542,31 +1392,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.set_defaults(fn=_cmd_loadtest)
 
-    p_diff = sub.add_parser(
-        "bench-diff",
-        help="compare two BENCH_*.json artifacts; exit 1 on regression",
-    )
-    p_diff.add_argument("old", help="baseline artifact (e.g. committed)")
-    p_diff.add_argument("new", help="candidate artifact (e.g. fresh run)")
-    p_diff.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=benchdiff_defaults.DEFAULT_FAIL_THRESHOLD,
-        metavar="PCT",
-        help="percent-worse ceiling before a row fails the diff "
-        f"(default {benchdiff_defaults.DEFAULT_FAIL_THRESHOLD:g})",
-    )
-    p_diff.add_argument(
-        "--min-seconds",
-        type=float,
-        default=benchdiff_defaults.DEFAULT_MIN_SECONDS,
-        metavar="S",
-        help="noise floor: rows measured faster than this (either side) "
-        "are shown but never gated "
-        f"(default {benchdiff_defaults.DEFAULT_MIN_SECONDS:g}; 0 = strict)",
-    )
-    p_diff.set_defaults(fn=_cmd_bench_diff)
-
     p_slo = sub.add_parser(
         "slo",
         help="per-phase SLO report (queue/reduce/search/serialize) from a "
@@ -1628,8 +1453,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("full", "stubborn"),
         default="full",
-        help="successor rule; stubborn misses are inconclusive "
-        "(the reduction only preserves deadlocks)",
+        help="successor rule; stubborn is always refused (exit 2): the "
+        "reduction preserves deadlocks only, not reachability",
     )
     p_reach.add_argument("--order", choices=("bfs", "dfs"), default="bfs")
     p_reach.add_argument("--max-states", type=int, default=200_000)

@@ -10,9 +10,9 @@ raw JSONL trace records).
 Unlike the engine-backed commands this deliberately runs **in-process**
 (no worker fork): the point is a single coherent trace of one run, not
 isolation.  The :func:`observed` context manager is the lighter variant
-behind the ``--trace`` / ``--metrics`` flags of ``check`` / ``table1`` /
-``bench-kernel`` — it activates a tracer around an existing command and
-exports on the way out.
+behind the ``--trace`` / ``--metrics`` flags of ``check`` / ``table1``
+— it activates a tracer around an existing command and exports on the
+way out.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 The frozenset firing rules in :mod:`repro.net.petrinet` are the *reference
 implementation*: readable, directly checked against the paper's
-definitions, and kept as the debuggable slow path.  This module is the
-fast path every explicit explorer runs on: a :class:`MarkingKernel` is
-built once per net and packs a safe-net marking into a single Python
-``int`` — bit ``p`` set iff place ``p`` holds its token — with
-per-transition masks precompiled so the hot loop is pure integer algebra:
+definitions, and the specification the differential tests hold this
+kernel to.  This module is the fast path every explicit explorer runs
+on: a :class:`MarkingKernel` is built once per net and packs a safe-net
+marking into a single Python ``int`` — bit ``p`` set iff place ``p``
+holds its token — with per-transition masks precompiled so the hot loop
+is pure integer algebra:
 
 * **enabling** (Def. 2.3) — ``m & pre_mask[t] == pre_mask[t]``;
 * **firing** (Def. 2.4) — ``(m & clear_mask[t]) | post_mask[t]`` with the
@@ -395,13 +396,13 @@ class MarkingKernel:
     ) -> int:
         """Close ``seed_bit`` under rules D1/D2 as a bitmask fixpoint.
 
-        The single stubborn-set closure implementation (both the
-        frozenset and packed-marking entry points of
-        :mod:`repro.stubborn.stubborn` are thin adapters over it).  The
-        closure is a least fixpoint whose *result set* is independent of
-        worklist order given the deterministic scapegoat plan, so
-        replacing the historical per-transition worklist with mask
-        unions keeps the reduced graph byte-identical.
+        The single stubborn-set closure implementation
+        (:func:`repro.stubborn.stubborn.stubborn_enabled_mask` chooses
+        among its results).  The closure is a least fixpoint whose
+        *result set* is independent of worklist order given the
+        deterministic scapegoat plan, so replacing the historical
+        per-transition worklist with mask unions keeps the reduced graph
+        byte-identical.
 
         ``seed_bit`` is ``1 << seed`` for an enabled seed transition;
         the return value is the chosen stubborn set as a transition

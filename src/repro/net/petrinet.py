@@ -197,11 +197,10 @@ class PetriNet:
         """All transitions enabled in ``marking``, in index order.
 
         This is the *reference implementation* of the enabling scan,
-        kept deliberately close to Def. 2.3.  The hot exploration paths
-        use the precompiled bitmask form in
-        :class:`repro.net.kernel.MarkingKernel`; ``gpo check --no-kernel``
-        and the differential test-suite route through this one so the
-        slow path stays exercised and debuggable.
+        kept deliberately close to Def. 2.3.  The exploration paths use
+        the precompiled bitmask form in
+        :class:`repro.net.kernel.MarkingKernel`; the differential
+        test-suite holds the kernel to this one.
         """
         return [
             t

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.net.exceptions import UnsafeNetError
-from repro.net.petrinet import Marking, PetriNet
+from repro.net.petrinet import PetriNet
 
 __all__ = ["Diagnostics", "SafetyCheck", "diagnose", "check_safe"]
 
@@ -111,9 +111,7 @@ class SafetyCheck:
         return self.status == "safe"
 
 
-def check_safe(
-    net: PetriNet, *, max_states: int = 100_000, use_kernel: bool = True
-) -> SafetyCheck:
+def check_safe(net: PetriNet, *, max_states: int = 100_000) -> SafetyCheck:
     """Dynamically check 1-safety by bounded exhaustive exploration.
 
     Returns a :class:`SafetyCheck`: ``"safe"`` only when the *entire*
@@ -122,38 +120,8 @@ def check_safe(
     when the bound was exhausted first.  For a structural (zero-state)
     safety proof see :func:`repro.static.safety.certify_safety`.
 
-    ``use_kernel`` (default) runs the walk on packed integer markings via
-    the net's :class:`~repro.net.kernel.MarkingKernel`; ``gpo check
-    --no-kernel`` selects the frozenset reference rules instead.  Both
-    walks pop and fire in the same order, so they report the same verdict,
-    state count and violation.
-    """
-    if use_kernel:
-        return _check_safe_kernel(net, max_states=max_states)
-    seen: set[Marking] = {net.initial_marking}
-    frontier = [net.initial_marking]
-    while frontier:
-        if len(seen) > max_states:
-            return SafetyCheck(status="unknown", states=len(seen))
-        marking = frontier.pop()
-        for t in net.enabled_transitions(marking):
-            try:
-                successor = net.fire(t, marking)
-            except UnsafeNetError as exc:
-                return SafetyCheck(
-                    status="unsafe", states=len(seen), violation=str(exc)
-                )
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return SafetyCheck(status="safe", states=len(seen))
-
-
-def _check_safe_kernel(net: PetriNet, *, max_states: int) -> SafetyCheck:
-    """Bitmask twin of the reference walk in :func:`check_safe`.
-
-    Same DFS pop order, same per-marking transition order, same bound
-    semantics — only the marking representation differs.
+    The depth-first walk runs on packed integer markings via the net's
+    :class:`~repro.net.kernel.MarkingKernel`.
     """
     kernel = net.kernel()
     seen: set[int] = {kernel.initial}
@@ -164,7 +132,7 @@ def _check_safe_kernel(net: PetriNet, *, max_states: int) -> SafetyCheck:
         bits = frontier.pop()
         # Fire one transition at a time (not the fused kernel.successors)
         # so the states count at an "unsafe" verdict includes successors
-        # discovered before the violating firing, like the reference walk.
+        # discovered before the violating firing.
         for t in kernel.enabled_transitions(bits):
             try:
                 successor = kernel.fire_enabled(t, bits)

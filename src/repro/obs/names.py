@@ -24,7 +24,6 @@ __all__ = [
     "DEADLOCKS",
     "EXPANDED",
     "INSTRUMENTATION_FIELDS",
-    "KERNEL",
     "KERNEL_FIRES",
     "KERNEL_FULL_SCANS",
     "KERNEL_INCREMENTAL_UPDATES",
@@ -79,14 +78,13 @@ EXPANDED = "expanded"
 PEAK_FRONTIER = "peak_frontier"
 MEAN_ENABLED = "mean_enabled"
 STATES_PER_SECOND = "states_per_second"
-KERNEL = "kernel"
 STUBBORN_RATIO = "stubborn_ratio"
 MEAN_SCENARIOS = "mean_scenarios"
 MAX_SCENARIOS = "max_scenarios"
 SAFETY_CERTIFIED = "safety_certified"
 ABORTED = "aborted"
 #: Transitions processed by the stubborn-closure fixpoint (extras key and
-#: metric counter; the bench-kernel stubborn-phase breakdown keys on it).
+#: metric counter).
 STUBBORN_CLOSURE_ITERATIONS = "stubborn_closure_iterations"
 #: Wall seconds spent choosing stubborn sets (vs expanding successors).
 STUBBORN_SET_SECONDS = "stubborn_set_seconds"
@@ -108,7 +106,6 @@ INSTRUMENTATION_FIELDS: tuple[str, ...] = (
     PEAK_FRONTIER,
     MEAN_ENABLED,
     STATES_PER_SECOND,
-    KERNEL,
     STUBBORN_RATIO,
     MEAN_SCENARIOS,
     MAX_SCENARIOS,

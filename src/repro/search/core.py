@@ -131,9 +131,6 @@ class SearchStats:
     peak_frontier: int = 1
     successor_total: int = 0
     elapsed_seconds: float = 0.0
-    #: True when the space ran on the bitmask marking kernel
-    #: (``space.uses_kernel``) rather than the frozenset reference path.
-    kernel: bool = False
 
     @property
     def mean_enabled(self) -> float:
@@ -156,7 +153,6 @@ class SearchStats:
             names.PEAK_FRONTIER: self.peak_frontier,
             names.MEAN_ENABLED: round(self.mean_enabled, 3),
             names.STATES_PER_SECOND: round(self.states_per_second, 1),
-            names.KERNEL: self.kernel,
         }
 
 
@@ -245,7 +241,7 @@ def explore(
     start = time.perf_counter()
     initial = space.initial()
     graph: ReachabilityGraph[S] = ReachabilityGraph(initial)
-    stats = SearchStats(kernel=bool(getattr(space, "uses_kernel", False)))
+    stats = SearchStats()
     path: list[S] = []
     on_path: set[S] = set()
     ctx: SearchContext[S] = SearchContext(order, graph, on_path)

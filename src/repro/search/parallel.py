@@ -69,7 +69,7 @@ from repro.props.compat import unsupported_reason
 from repro.props.eval import engine_property, needs_decomposition, run_property
 from repro.search.core import abort_note
 from repro.search.limits import Deadline
-from repro.stubborn.stubborn import SeedStrategy, _enabled_part
+from repro.stubborn.stubborn import _enabled_part
 
 __all__ = [
     "ParallelOutcome",
@@ -132,14 +132,12 @@ class _ShardCore:
         shards: int,
         *,
         inner: str,
-        strategy: SeedStrategy,
         batch: bool,
     ) -> None:
         self.kernel = kernel
         self.shard = shard
         self.shards = shards
         self.inner = inner
-        self.strategy = strategy
         self.words = words_of(kernel.num_places)
         # Batched expansion implements the full semantics only; stubborn
         # shards always expand with the scalar closure.
@@ -209,7 +207,6 @@ class _ShardCore:
         words = self.words
         shards = self.shards
         stubborn = self.inner == "stubborn"
-        strategy = self.strategy
         closure_base = kernel.stat_closure_iterations
         for bits in frontier:
             mask = kernel.enabled_mask(bits)
@@ -218,7 +215,7 @@ class _ShardCore:
                 continue
             if stubborn:
                 stats.enabled_total += mask.bit_count()
-                to_fire = _enabled_part(kernel, bits, strategy, mask)
+                to_fire = _enabled_part(kernel, bits, mask)
                 stats.fired_total += len(to_fire)
             else:
                 to_fire = []
@@ -332,7 +329,6 @@ def explore_parallel(
     *,
     shards: int = 2,
     inner: str = "full",
-    strategy: SeedStrategy = "best",
     batch: Any = "auto",
     workers: Any = "auto",
     max_states: int | None = None,
@@ -366,12 +362,10 @@ def explore_parallel(
 
     if mode == "fork":
         runner: _InlineRunner | _ForkRunner = _ForkRunner(
-            net, shards, inner=inner, strategy=strategy, batch=use_batch
+            net, shards, inner=inner, batch=use_batch
         )
     else:
-        runner = _InlineRunner(
-            kernel, shards, inner=inner, strategy=strategy, batch=use_batch
-        )
+        runner = _InlineRunner(kernel, shards, inner=inner, batch=use_batch)
     try:
         while any(pending):
             if deadline is not None and deadline.expired():
@@ -426,13 +420,10 @@ class _InlineRunner:
         shards: int,
         *,
         inner: str,
-        strategy: SeedStrategy,
         batch: bool,
     ) -> None:
         self.cores = [
-            _ShardCore(
-                kernel, s, shards, inner=inner, strategy=strategy, batch=batch
-            )
+            _ShardCore(kernel, s, shards, inner=inner, batch=batch)
             for s in range(shards)
         ]
 
@@ -460,7 +451,6 @@ def _shard_worker(
     shard: int,
     shards: int,
     inner: str,
-    strategy: SeedStrategy,
     batch: bool,
     trace_ctx: TraceContext | None = None,
 ) -> None:
@@ -476,10 +466,7 @@ def _shard_worker(
     tracer.child_reset()
     if trace_ctx is not None:
         set_context(trace_ctx)
-    core = _ShardCore(
-        net.kernel(), shard, shards, inner=inner, strategy=strategy,
-        batch=batch,
-    )
+    core = _ShardCore(net.kernel(), shard, shards, inner=inner, batch=batch)
     try:
         while True:
             msg = conn.recv()
@@ -506,7 +493,6 @@ class _ForkRunner:
         shards: int,
         *,
         inner: str,
-        strategy: SeedStrategy,
         batch: bool,
     ) -> None:
         ctx = multiprocessing.get_context("fork")
@@ -527,10 +513,7 @@ class _ForkRunner:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker,
-                args=(
-                    child, net, shard, shards, inner, strategy, batch,
-                    trace_ctx,
-                ),
+                args=(child, net, shard, shards, inner, batch, trace_ctx),
                 daemon=True,
             )
             proc.start()
@@ -592,7 +575,6 @@ def analyze_parallel(
     *,
     shards: int = 2,
     inner: str = "full",
-    strategy: SeedStrategy = "best",
     batch: Any = "auto",
     workers: Any = "auto",
     max_states: int | None = None,
@@ -615,7 +597,6 @@ def analyze_parallel(
                 net,
                 shards=shards,
                 inner=inner,
-                strategy=strategy,
                 batch=batch,
                 workers=workers,
                 max_states=max_states,
@@ -650,7 +631,6 @@ def analyze_parallel(
                 net,
                 shards=shards,
                 inner=inner,
-                strategy=strategy,
                 batch=batch,
                 workers=workers,
                 max_states=max_states,
@@ -665,7 +645,6 @@ def analyze_parallel(
             )
             if outcome.elapsed_seconds > 0
             else float(outcome.states),
-            names.KERNEL: True,
             names.SHARDS: shards,
             names.SHARD_EXCHANGE_VOLUME: outcome.exchange_volume,
             names.SHARD_EXCHANGE_STALLS: outcome.exchange_stalls,

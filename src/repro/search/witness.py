@@ -60,9 +60,9 @@ def extract_witness(
     packed integer markings pass their kernel's ``decode`` so the witness
     crosses back to the frozenset representation here, at the report
     boundary.  Ties between equally short deadlocks break on discovery
-    order (not ``deadlocks``-set iteration order), so the kernel and
-    reference paths extract the *same* witness from their byte-identical
-    graphs.
+    order (not ``deadlocks``-set iteration order), so the kernel
+    explorers and a frozenset reference extract the *same* witness from
+    their byte-identical graphs.
     """
     deadlocks = graph.deadlocks
     best: tuple[int, S, list[tuple[str, S]]] | None = None

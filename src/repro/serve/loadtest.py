@@ -15,8 +15,9 @@ in-process run of the same :class:`~repro.engine.jobs.VerificationJob`
 serving path: any conclusive disagreement is a mismatch, and the CLI
 exits non-zero on one.
 
-The JSON artifact (``BENCH_serve.json``) tracks the serving trajectory
-across PRs the way ``BENCH_kernel.json`` tracks the kernel's.
+The JSON artifact (``BENCH_serve.json``) records the serving
+trajectory, stamped with the host it ran on
+(:func:`repro.obs.benchmeta.stamp_bench`).
 """
 
 from __future__ import annotations

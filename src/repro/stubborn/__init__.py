@@ -5,6 +5,5 @@ reproduction of Table 1.
 """
 
 from repro.stubborn.explorer import analyze, explore_reduced
-from repro.stubborn.stubborn import stubborn_enabled, stubborn_set
 
-__all__ = ["analyze", "explore_reduced", "stubborn_enabled", "stubborn_set"]
+__all__ = ["analyze", "explore_reduced"]

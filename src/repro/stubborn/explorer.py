@@ -6,23 +6,18 @@ deadlocks of the full graph are preserved (Valmari [14], Godefroid-Wolper
 [9]); the number of stored states is what Table 1 reports.
 
 The exploration itself runs on the generic driver in
-:mod:`repro.search.core`.  Two interchangeable spaces supply the reduced
-successor rule: :class:`KernelStubbornSpace` (default) carries packed
-integer markings from :class:`repro.net.kernel.MarkingKernel` with
-incremental enabled-set maintenance, and :class:`StubbornSpace` is the
-frozenset reference path (``use_kernel=False``).  Both measure the
-reduction ratio (fired / enabled transitions) and produce byte-identical
-reduced graphs.
+:mod:`repro.search.core`.  :class:`KernelStubbornSpace` supplies the
+reduced successor rule on packed integer markings from
+:class:`repro.net.kernel.MarkingKernel`, with incremental enabled-set
+maintenance, and measures the reduction ratio (fired / enabled
+transitions).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable
-
 from repro.analysis.stats import AnalysisResult, stopwatch
 from repro.net.petrinet import Marking, PetriNet
-from repro.net.structure import StructuralInfo
 from repro.obs import names
 from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
@@ -33,147 +28,36 @@ from repro.props.eval import (
     needs_decomposition,
     run_property,
 )
-from repro.search.core import (
-    SearchContext,
-    SearchOutcome,
-    abort_note,
-    raise_if_bounded,
-)
+from repro.search.core import SearchContext, abort_note, raise_if_bounded
 from repro.search.core import explore as _drive
 from repro.search.graph import ReachabilityGraph
 from repro.search.observers import TracingObserver
 from repro.search.witness import extract_witness
-from repro.stubborn.stubborn import (
-    SeedStrategy,
-    _enabled_part,
-    stubborn_enabled,
-    stubborn_enabled_mask,
-)
+from repro.stubborn.stubborn import _enabled_part, stubborn_enabled_mask
 
 __all__ = [
     "KernelStubbornSpace",
-    "StubbornSpace",
     "explore_reduced",
     "analyze",
 ]
 
 
-class StubbornSpace:
+class KernelStubbornSpace:
     """Stubborn-set reduced successors as a :class:`SearchSpace`.
 
-    Reference (frozenset) path.  In every marking only the enabled part
-    of one stubborn set fires.  ``enabled_total`` / ``fired_total``
-    accumulate the full and reduced enabled-set sizes over all expanded
-    states, giving the reduction ratio reported in the instrumentation
-    extras.
-    """
-
-    uses_kernel = False
-
-    def __init__(
-        self,
-        net: PetriNet,
-        *,
-        strategy: SeedStrategy = "best",
-        info: StructuralInfo | None = None,
-    ) -> None:
-        self.net = net
-        self.kernel = net.kernel()
-        self.strategy = strategy
-        # Retained for API compatibility; the conflict relation now lives
-        # in the kernel's precompiled closure tables.
-        self.info = info
-        self.enabled_total = 0
-        self.fired_total = 0
-        self.set_seconds = 0.0
-        self._closure_base = self.kernel.stat_closure_iterations
-        self._memo_marking: Marking | None = None
-        self._memo_fire: list[int] = []
-        # Null instrument unless a tracer is active at construction time;
-        # observing on it is a no-op method call per expanded state.
-        self._set_sizes = current_tracer().metrics.histogram(
-            names.STUBBORN_SET_SIZE
-        )
-
-    def _to_fire(self, marking: Marking) -> list[int]:
-        if marking is not self._memo_marking:
-            enabled = self.net.enabled_transitions(marking)
-            begin = perf_counter()
-            to_fire = stubborn_enabled(
-                self.net,
-                self.info,
-                marking,
-                strategy=self.strategy,
-                enabled=enabled,
-            )
-            self.set_seconds += perf_counter() - begin
-            self.enabled_total += len(enabled)
-            self.fired_total += len(to_fire)
-            self._set_sizes.observe(len(to_fire))
-            self._memo_fire = to_fire
-            self._memo_marking = marking
-        return self._memo_fire
-
-    def initial(self) -> Marking:
-        return self.net.initial_marking
-
-    def is_deadlock(self, marking: Marking) -> bool:
-        return not self._to_fire(marking)
-
-    def successors(
-        self, marking: Marking, ctx: SearchContext[Marking]
-    ) -> Iterable[tuple[str, Marking]]:
-        net = self.net
-        for t in self._to_fire(marking):
-            yield net.transitions[t], net._fire_enabled(t, marking)
-
-    def instrumentation(self) -> dict[str, object]:
-        """Reduction ratio plus stubborn-phase counters.
-
-        ``stubborn_closure_iterations`` counts transitions processed by
-        the closure fixpoint (the bench-kernel breakdown divides it by
-        wall time); ``stubborn_set_seconds`` is the time spent choosing
-        sets, so expansion time is the search total minus it.
-        """
-        if not self.enabled_total:
-            return {}
-        return {
-            names.STUBBORN_RATIO: round(
-                self.fired_total / self.enabled_total, 3
-            ),
-            names.STUBBORN_CLOSURE_ITERATIONS: (
-                self.kernel.stat_closure_iterations - self._closure_base
-            ),
-            names.STUBBORN_SET_SECONDS: round(self.set_seconds, 6),
-        }
-
-
-class KernelStubbornSpace:
-    """The same reduction on packed integer markings (the fast path).
-
+    In every marking only the enabled part of one stubborn set fires.
     States are ``int`` bitmasks; each stored state's full enabled set is
     maintained incrementally as a transition bitmask (only the
     transitions touching the fired preset/postset are re-tested), and the
-    stubborn closure runs on the kernel's precompiled masks.  Produces
-    the same fired sets — and hence the same reduced graph — as
-    :class:`StubbornSpace`.
+    stubborn closure runs on the kernel's precompiled masks.
+    ``enabled_total`` / ``fired_total`` accumulate the full and reduced
+    enabled-set sizes over all expanded states, giving the reduction
+    ratio reported in the instrumentation extras.
     """
 
-    uses_kernel = True
-
-    def __init__(
-        self,
-        net: PetriNet,
-        *,
-        strategy: SeedStrategy = "best",
-        info: StructuralInfo | None = None,
-    ) -> None:
+    def __init__(self, net: PetriNet) -> None:
         self.net = net
         self.kernel = net.kernel()
-        self.strategy = strategy
-        # Retained for API compatibility; the conflict relation now lives
-        # in the kernel's precompiled closure tables.
-        self.info = info
         self.enabled_total = 0
         self.fired_total = 0
         self.set_seconds = 0.0
@@ -201,11 +85,9 @@ class KernelStubbornSpace:
             mask = self._enabled_masks[bits]
             begin = perf_counter()
             if self._spans or not mask:
-                to_fire = stubborn_enabled_mask(
-                    self.kernel, bits, mask, strategy=self.strategy
-                )
+                to_fire = stubborn_enabled_mask(self.kernel, bits, mask)
             else:
-                to_fire = _enabled_part(self.kernel, bits, self.strategy, mask)
+                to_fire = _enabled_part(self.kernel, bits, mask)
             self.set_seconds += perf_counter() - begin
             self.enabled_total += mask.bit_count()
             self.fired_total += len(to_fire)
@@ -243,9 +125,8 @@ class KernelStubbornSpace:
         """Reduction ratio plus stubborn-phase counters.
 
         ``stubborn_closure_iterations`` counts transitions processed by
-        the closure fixpoint (the bench-kernel breakdown divides it by
-        wall time); ``stubborn_set_seconds`` is the time spent choosing
-        sets, so expansion time is the search total minus it.
+        the closure fixpoint; ``stubborn_set_seconds`` is the time spent
+        choosing sets, so expansion time is the search total minus it.
         """
         if not self.enabled_total:
             return {}
@@ -260,47 +141,21 @@ class KernelStubbornSpace:
         }
 
 
-def _stubborn_space(
-    net: PetriNet,
-    *,
-    strategy: SeedStrategy,
-    info: StructuralInfo | None,
-    use_kernel: bool,
-) -> StubbornSpace | KernelStubbornSpace:
-    if use_kernel:
-        return KernelStubbornSpace(net, strategy=strategy, info=info)
-    return StubbornSpace(net, strategy=strategy, info=info)
-
-
-def _decoded_graph(
-    outcome: SearchOutcome, space: StubbornSpace | KernelStubbornSpace
-) -> ReachabilityGraph[Marking]:
-    """The outcome's graph over classical markings (decode boundary)."""
-    if isinstance(space, KernelStubbornSpace):
-        return outcome.graph.map_states(space.decode)
-    return outcome.graph
-
-
 def explore_reduced(
     net: PetriNet,
     *,
-    strategy: SeedStrategy = "best",
     max_states: int | None = None,
     max_seconds: float | None = None,
     stop_at_first_deadlock: bool = False,
-    info: StructuralInfo | None = None,
-    use_kernel: bool = True,
 ) -> ReachabilityGraph[Marking]:
     """Build the stubborn-set reduced reachability graph (BFS order).
 
     Raises on budget overruns like the full ``explore``; ``analyze`` uses
-    the driver's partial results instead.  The returned graph always
-    carries classical frozenset markings; with ``use_kernel`` (the
-    default) the exploration runs on packed integers and is decoded here.
+    the driver's partial results instead.  The exploration runs on packed
+    integers; the returned graph is decoded to classical frozenset
+    markings.
     """
-    space = _stubborn_space(
-        net, strategy=strategy, info=info, use_kernel=use_kernel
-    )
+    space = KernelStubbornSpace(net)
     outcome = _drive(
         space,
         order="bfs",
@@ -309,17 +164,15 @@ def explore_reduced(
         stop_at_first_deadlock=stop_at_first_deadlock,
     )
     raise_if_bounded(outcome, max_states=max_states, max_seconds=max_seconds)
-    return _decoded_graph(outcome, space)
+    return outcome.graph.map_states(space.decode)
 
 
 def analyze(
     net: PetriNet,
     *,
-    strategy: SeedStrategy = "best",
     max_states: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    use_kernel: bool = True,
     prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Run stubborn-set reduced analysis, packaged uniformly.
@@ -328,9 +181,7 @@ def analyze(
     reported ``states`` count is the size of the *reduced* graph.  Budget
     overruns (state or wall-clock) are absorbed into a bounded,
     non-exhaustive result carrying the real progress made, exactly like
-    the other analyzers.  ``use_kernel`` selects the packed-integer fast
-    path (default) or the frozenset reference path; both report identical
-    counts (``extras["kernel"]`` records which one ran).
+    the other analyzers.
 
     The stubborn-set reduction preserves *deadlocks only* (its compat
     declaration in :mod:`repro.props.compat`): ``prop`` may be ``None``,
@@ -345,11 +196,9 @@ def analyze(
             goal_prop,
             lambda leaf: analyze(
                 net,
-                strategy=strategy,
                 max_states=max_states,
                 max_seconds=max_seconds,
                 want_witness=want_witness,
-                use_kernel=use_kernel,
                 prop=leaf,
             ),
             analyzer="stubborn",
@@ -366,9 +215,7 @@ def analyze(
     with tracer.span(
         names.SPAN_ANALYZE, analyzer="stubborn", net=net.name
     ) as root:
-        space = _stubborn_space(
-            net, strategy=strategy, info=None, use_kernel=use_kernel
-        )
+        space = KernelStubbornSpace(net)
         # Consult the structural certificate before exploring: when it
         # holds, UnsafeNetError is provably unreachable during the search.
         with tracer.span(names.SPAN_CERTIFICATE):
@@ -385,15 +232,9 @@ def analyze(
         graph = outcome.graph
         witness = None
         if graph.deadlocks and want_witness:
-            decode = (
-                space.decode
-                if isinstance(space, KernelStubbornSpace)
-                else None
-            )
             with tracer.span(names.SPAN_WITNESS):
-                witness = extract_witness(net, graph, decode=decode)
-        extras: dict[str, object] = {"strategy": strategy}
-        extras.update(outcome.stats.as_extras())
+                witness = extract_witness(net, graph, decode=space.decode)
+        extras = outcome.stats.as_extras()
         extras.update(space.instrumentation())
         extras[names.SAFETY_CERTIFIED] = certified
         note = abort_note(

@@ -29,143 +29,35 @@ precisely the degenerate behaviour the paper reports for the RW benchmark.
 There is exactly **one** closure implementation:
 :meth:`~repro.net.kernel.MarkingKernel.stubborn_closure`, a bitmask
 fixpoint over the kernel's precompiled ``conflicters_mask`` /
-``scapegoat_plan`` tables.  The historical frozenset-marking entry points
-(``stubborn_set`` / ``stubborn_enabled``) are thin adapters that pack the
-marking and run the same masks — the twins that used to duplicate the
-worklist logic are gone, and with them the drift risk their docstrings
-warned about.  The closure is a least fixpoint whose result *set* does not
-depend on worklist order (the scapegoat choice is deterministic per
-marking), so the fired lists — and therefore the reduced graph — are
-byte-identical to the historical path.
+``scapegoat_plan`` tables.  :func:`stubborn_enabled_mask` chooses the set
+to fire from packed markings: it closes from every enabled seed and fires
+the closure whose enabled part is smallest.  The closure is a least
+fixpoint whose result *set* does not depend on worklist order (the
+scapegoat choice is deterministic per marking), and seeds are tried in
+ascending order, so the fired lists — and therefore the reduced graph —
+are a function of the marking alone.
 """
 
 from __future__ import annotations
 
-from repro.net.kernel import MarkingKernel, iter_bits
-from repro.net.petrinet import Marking, PetriNet
-from repro.net.structure import StructuralInfo
+from repro.net.kernel import MarkingKernel
 from repro.obs import names
 from repro.obs.tracer import current_tracer
 
-__all__ = [
-    "stubborn_set",
-    "stubborn_enabled",
-    "stubborn_set_kernel",
-    "stubborn_enabled_kernel",
-    "stubborn_enabled_mask",
-    "SeedStrategy",
-]
-
-#: Strategies for choosing the seed transition of the closure.
-SeedStrategy = str  # "first" | "best"
-
-
-def stubborn_set(
-    net: PetriNet,
-    info: StructuralInfo | None,
-    marking: Marking,
-    seed: int,
-) -> set[int]:
-    """Close ``{seed}`` under rules D1/D2; ``seed`` must be enabled.
-
-    Frozenset-marking adapter over the kernel closure.  ``info`` is
-    accepted for API compatibility but unused: the conflict relation now
-    lives in the kernel's precompiled ``conflicters_mask`` table (built
-    from the same per-place consumer sets ``StructuralInfo`` uses).
-    """
-    kernel = net.kernel()
-    bits = kernel.encode(marking)
-    assert kernel.is_enabled(seed, bits), "stubborn seed must be enabled"
-    return set(iter_bits(kernel.stubborn_closure(bits, 1 << seed)))
-
-
-def stubborn_set_kernel(
-    kernel: MarkingKernel,
-    info: StructuralInfo | None,
-    bits: int,
-    seed: int,
-) -> set[int]:
-    """Packed-marking adapter over the kernel closure (same set)."""
-    assert kernel.is_enabled(seed, bits), "stubborn seed must be enabled"
-    return set(iter_bits(kernel.stubborn_closure(bits, 1 << seed)))
-
-
-def stubborn_enabled(
-    net: PetriNet,
-    info: StructuralInfo | None,
-    marking: Marking,
-    *,
-    strategy: SeedStrategy = "best",
-    enabled: list[int] | None = None,
-) -> list[int]:
-    """The enabled part of a chosen stubborn set in ``marking``.
-
-    Frozenset-marking adapter: packs the marking once and runs the same
-    mask fixpoint as :func:`stubborn_enabled_kernel`.
-
-    Returns the transitions to fire from this state.  Empty iff the marking
-    is a deadlock.  Pass ``enabled`` when the caller already computed
-    ``net.enabled_transitions(marking)`` (the explorer does, to measure the
-    reduction ratio without recomputing).  ``strategy``:
-
-    * ``"first"`` — close from the first enabled transition (fast);
-    * ``"best"`` — close from every enabled seed, fire the set whose
-      enabled part is smallest (stronger reduction; this is what allows the
-      explorer to follow one interleaving in Figure 1 and one conflict pair
-      at a time in Figure 2).
-    """
-    if enabled is None:
-        enabled = net.enabled_transitions(marking)
-    if not enabled:
-        return []
-    kernel = net.kernel()
-    enabled_mask = 0
-    for t in enabled:
-        enabled_mask |= 1 << t
-    return stubborn_enabled_mask(
-        kernel, kernel.encode(marking), enabled_mask, strategy=strategy
-    )
-
-
-def stubborn_enabled_kernel(
-    kernel: MarkingKernel,
-    info: StructuralInfo | None,
-    bits: int,
-    *,
-    strategy: SeedStrategy = "best",
-    enabled: list[int] | None = None,
-    enabled_mask: int | None = None,
-) -> list[int]:
-    """Packed-marking twin of :func:`stubborn_enabled` (same core).
-
-    ``enabled_mask`` is the full enabled set of ``bits`` as a transition
-    bitmask, when the caller maintains it anyway (the kernel explorer
-    does, incrementally); it only unlocks the precomputed closure fast
-    path and never changes the fired list.
-    """
-    if enabled is None:
-        enabled = kernel.enabled_transitions(bits)
-    if not enabled:
-        return []
-    if enabled_mask is None:
-        enabled_mask = 0
-        for t in enabled:
-            enabled_mask |= 1 << t
-    return stubborn_enabled_mask(kernel, bits, enabled_mask, strategy=strategy)
+__all__ = ["stubborn_enabled_mask"]
 
 
 def stubborn_enabled_mask(
     kernel: MarkingKernel,
     bits: int,
     enabled_mask: int,
-    *,
-    strategy: SeedStrategy = "best",
 ) -> list[int]:
-    """Mask-native entry point: fired list straight from bitmasks.
+    """The enabled part of the chosen stubborn set, from bitmasks.
 
-    ``enabled_mask`` must be the exact enabled set of ``bits``.  This is
-    the hot-path form the kernel explorer calls per expanded marking;
-    the list/frozenset entry points above funnel into it.
+    ``enabled_mask`` must be the exact enabled set of ``bits``.  Returns
+    the transitions to fire from this state, ascending; empty iff the
+    marking is a deadlock.  This is the hot-path form the kernel explorer
+    calls per expanded marking.
     """
     if not enabled_mask:
         return []
@@ -176,36 +68,29 @@ def stubborn_enabled_mask(
         with tracer.span(
             names.SPAN_STUBBORN_SET, enabled=enabled_mask.bit_count()
         ) as sp:
-            fired = _enabled_part(kernel, bits, strategy, enabled_mask)
+            fired = _enabled_part(kernel, bits, enabled_mask)
             sp.set(fired=len(fired))
             return fired
-    return _enabled_part(kernel, bits, strategy, enabled_mask)
+    return _enabled_part(kernel, bits, enabled_mask)
 
 
 def _enabled_part(
     kernel: MarkingKernel,
     bits: int,
-    strategy: SeedStrategy,
     enabled_mask: int,
 ) -> list[int]:
-    """Seed-strategy loop shared by both marking views.
+    """Close from every enabled seed; fire the smallest enabled part.
 
-    Seeds are tried in ascending transition order, exactly as the
-    historical list loop did.  The ``"best"`` dedup is the historical one
-    in mask form: seeds inside an already-computed closure yield the same
-    closure or a subset, so stripping each computed closure from the
-    remaining seed pool (``todo &= ~chosen``) skips precisely the seeds
-    the old ``seen``-set test skipped.  The fired list of a closure is
+    Trying every seed (rather than only the first) is what lets the
+    explorer follow one interleaving in Figure 1 and one conflict pair at
+    a time in Figure 2.  Seeds are tried in ascending transition order.
+    Seeds inside an already-computed closure yield the same closure or a
+    subset, so stripping each computed closure from the remaining seed
+    pool (``todo &= ~chosen``) skips them.  The fired list of a closure is
     the ascending bits of ``closure & enabled_mask``; sizes are compared
     as popcounts and only the winner is materialized.
     """
     closure = kernel.stubborn_closure
-    if strategy == "first":
-        chosen = closure(bits, enabled_mask & -enabled_mask, enabled_mask)
-        return list(iter_bits(chosen & enabled_mask))
-    if strategy != "best":
-        raise ValueError(f"unknown seed strategy {strategy!r}")
-
     best_mask = 0
     best_count = 0
     todo = enabled_mask

@@ -53,30 +53,25 @@ class StateClassSpace:
     successor list is memoized per driver-visited class so the deadlock
     check and the successor hook share one computation.
 
-    With ``use_kernel`` (the default) the marking half of the firing rule
-    runs on the net's :class:`~repro.net.kernel.MarkingKernel` — the
-    class's marking is packed once per expansion and the per-transition
-    persistence/enabling tests are bitmask algebra; the state classes
-    themselves keep their frozenset markings (the DBM dominates their
-    identity anyway).
+    The marking half of the firing rule runs on the net's
+    :class:`~repro.net.kernel.MarkingKernel` — the class's marking is
+    packed once per expansion and the per-transition persistence/enabling
+    tests are bitmask algebra; the state classes themselves keep their
+    frozenset markings (the DBM dominates their identity anyway).
     """
 
-    def __init__(self, tpn: TimedPetriNet, *, use_kernel: bool = True) -> None:
+    def __init__(self, tpn: TimedPetriNet) -> None:
         self.tpn = tpn
-        self.kernel = tpn.net.kernel() if use_kernel else None
-        self.uses_kernel = use_kernel
+        self.kernel = tpn.net.kernel()
         self._memo_class: StateClass | None = None
         self._memo_succs: list[tuple[str, StateClass]] = []
 
     def _succs(self, cls: StateClass) -> list[tuple[str, StateClass]]:
         if cls is not self._memo_class:
-            kernel = self.kernel
-            bits = None if kernel is None else kernel.encode(cls.marking)
+            bits = self.kernel.encode(cls.marking)
             out: list[tuple[str, StateClass]] = []
             for t in cls.variables:
-                successor = fire_class(
-                    self.tpn, cls, t, kernel=kernel, bits=bits
-                )
+                successor = fire_class(self.tpn, cls, t, bits=bits)
                 if successor is not None:
                     out.append((self.tpn.net.transitions[t], successor))
             self._memo_succs = out
@@ -104,7 +99,6 @@ def explore_classes(
     *,
     max_classes: int | None = None,
     max_seconds: float | None = None,
-    use_kernel: bool = True,
 ) -> ReachabilityGraph[StateClass]:
     """Breadth-first construction of the state-class graph.
 
@@ -114,7 +108,7 @@ def explore_classes(
     instead.
     """
     outcome = _drive(
-        StateClassSpace(tpn, use_kernel=use_kernel),
+        StateClassSpace(tpn),
         order="bfs",
         max_states=max_classes,
         max_seconds=max_seconds,
@@ -142,7 +136,6 @@ def analyze(
     max_classes: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    use_kernel: bool = True,
     prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Timed deadlock analysis packaged like the untimed analyzers.
@@ -151,8 +144,6 @@ def analyze(
     distinct markings they cover.  A witness trace is a firing sequence
     of the state-class graph (feasible under some timing of the delays).
     Budget overruns are absorbed into a bounded, non-exhaustive result.
-    ``use_kernel`` selects the bitmask marking steps (default) or the
-    frozenset reference rule; both build the same class graph.
 
     ``prop`` asks a property question over *timed-reachable* markings: a
     goal observer projects each state class onto its marking, so
@@ -168,13 +159,12 @@ def analyze(
                 max_classes=max_classes,
                 max_seconds=max_seconds,
                 want_witness=want_witness,
-                use_kernel=use_kernel,
                 prop=leaf,
             ),
             analyzer="timed",
             net_name=tpn.net.name,
         )
-    space = StateClassSpace(tpn, use_kernel=use_kernel)
+    space = StateClassSpace(tpn)
     goal = None
     if goal_prop is not None:
         reject_safe("timed", goal_prop)

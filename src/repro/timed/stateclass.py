@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.net.kernel import MarkingKernel
 from repro.net.petrinet import Marking
 from repro.timed.tpn import TimedPetriNet
 
@@ -180,16 +179,14 @@ def fire_class(
     cls: StateClass,
     t: int,
     *,
-    kernel: MarkingKernel | None = None,
     bits: int | None = None,
 ) -> StateClass | None:
     """Successor state class after firing ``t``, or ``None`` if unfirable.
 
-    With a :class:`~repro.net.kernel.MarkingKernel` the marking steps —
-    firing, the intermediate marking ``m − •f``, the persistence subset
-    tests and the new enabled set — run on packed integers (``bits`` may
-    pass the caller's already-encoded marking); without one they run on
-    the reference frozenset rules.  Both produce the same class.
+    The marking steps — firing, the intermediate marking ``m − •f``, the
+    persistence subset tests and the new enabled set — run on the net's
+    :class:`~repro.net.kernel.MarkingKernel` over packed integers
+    (``bits`` may pass the caller's already-encoded marking).
     """
     if t not in cls.variables:
         return None
@@ -198,30 +195,20 @@ def fire_class(
     if constrained is None:
         return None
 
-    net = tpn.net
-    if kernel is not None:
-        if bits is None:
-            bits = kernel.encode(cls.marking)
-        new_bits = kernel.fire(t, bits)
-        intermediate_bits = bits & kernel.clear_mask[t]
-        pre_mask = kernel.pre_mask
-        persisting = [
-            u
-            for u in cls.variables
-            if u != t and intermediate_bits & pre_mask[u] == pre_mask[u]
-        ]
-        # kernel.enabled_transitions is ascending == sorted.
-        new_variables = tuple(kernel.enabled_transitions(new_bits))
-        new_marking = kernel.decode(new_bits)
-    else:
-        new_marking = net.fire(t, cls.marking)
-        intermediate = cls.marking - net.pre_places[t]
-        persisting = [
-            u
-            for u in cls.variables
-            if u != t and net.pre_places[u] <= intermediate
-        ]
-        new_variables = tuple(sorted(net.enabled_transitions(new_marking)))
+    kernel = tpn.net.kernel()
+    if bits is None:
+        bits = kernel.encode(cls.marking)
+    new_bits = kernel.fire(t, bits)
+    intermediate_bits = bits & kernel.clear_mask[t]
+    pre_mask = kernel.pre_mask
+    persisting = [
+        u
+        for u in cls.variables
+        if u != t and intermediate_bits & pre_mask[u] == pre_mask[u]
+    ]
+    # kernel.enabled_transitions is ascending == sorted.
+    new_variables = tuple(kernel.enabled_transitions(new_bits))
+    new_marking = kernel.decode(new_bits)
     persisting_set = set(persisting)
 
     # Old DBM indices of the persisting transitions.

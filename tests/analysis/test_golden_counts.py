@@ -1,9 +1,10 @@
 """Golden state/edge counts on the Table 1 families at small sizes.
 
 These counts were captured from the frozenset reference implementation
-before the bitmask marking kernel landed; every analyzer — on either
-path — must keep reproducing them exactly.  A drift here means a
-semantics change, not a perf change.
+before the bitmask marking kernel landed.  The kernel analyzers
+(``kernel=True``) and the frozenset oracle of :mod:`tests.oracle`
+(``kernel=False``) must both keep reproducing them exactly.  A drift
+here means a semantics change, not a perf change.
 """
 
 import pytest
@@ -12,6 +13,8 @@ import repro.analysis.reachability as full
 import repro.gpo.analysis as gpo
 import repro.stubborn.explorer as stubborn
 from repro.models import asat, nsdp, over, rw
+
+from tests.oracle import oracle_explore, oracle_explore_reduced
 
 #: problem -> (full, stubborn, gpo) golden (states, edges, deadlock).
 GOLDEN = {
@@ -27,14 +30,22 @@ BUILDERS = {"NSDP": nsdp, "ASAT": asat, "OVER": over, "RW": rw}
 
 
 @pytest.mark.parametrize("problem,size", sorted(GOLDEN))
-@pytest.mark.parametrize("use_kernel", [False, True])
-def test_full_and_stubborn_counts(problem, size, use_kernel):
+@pytest.mark.parametrize("kernel", [False, True])
+def test_full_and_stubborn_counts(problem, size, kernel):
     net = BUILDERS[problem](size)
     full_golden, stubborn_golden, _ = GOLDEN[(problem, size)]
-    result = full.analyze(net, use_kernel=use_kernel, want_witness=False)
-    assert (result.states, result.edges, result.deadlock) == full_golden
-    result = stubborn.analyze(net, use_kernel=use_kernel, want_witness=False)
-    assert (result.states, result.edges, result.deadlock) == stubborn_golden
+    if kernel:
+        for analyzer, golden in ((full, full_golden), (stubborn, stubborn_golden)):
+            result = analyzer.analyze(net, want_witness=False)
+            assert (result.states, result.edges, result.deadlock) == golden
+    else:
+        for explore, golden in (
+            (oracle_explore, full_golden),
+            (oracle_explore_reduced, stubborn_golden),
+        ):
+            graph = explore(net)
+            counts = (graph.num_states, graph.num_edges, bool(graph.deadlocks))
+            assert counts == golden
 
 
 @pytest.mark.parametrize("problem,size", sorted(GOLDEN))

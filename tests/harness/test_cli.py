@@ -147,18 +147,6 @@ class TestCheckAndDot:
         assert main(["check", path]) == 1
         assert "VIOLATION" in capsys.readouterr().out
 
-    def test_check_no_kernel_agrees(self, tmp_path, capsys):
-        """The reference-path flag reports the same verdicts."""
-        path = str(tmp_path / "unsafe.net")
-        with open(path, "w") as handle:
-            handle.write(
-                "place p marked\nplace q marked\ntrans t : p -> q\n"
-            )
-        assert main(["check", path, "--no-kernel"]) == 1
-        reference_out = capsys.readouterr().out
-        assert main(["check", path]) == 1
-        assert capsys.readouterr().out == reference_out
-
     def test_dot_net(self, net_file, capsys):
         assert main(["dot", net_file]) == 0
         assert "digraph" in capsys.readouterr().out
@@ -213,29 +201,6 @@ class TestBenchModel:
 
     def test_unknown_model(self, capsys):
         assert main(["bench-model", "XX", "2"]) == 2
-
-
-class TestBenchKernel:
-    def test_quick_writes_valid_json(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_kernel.json"
-        code = main(
-            ["bench-kernel", "--quick", "--problems", "OVER,ASAT",
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "MISMATCH" not in out
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "marking-kernel"
-        rows = payload["rows"]
-        assert {row["analyzer"] for row in rows} == {"full", "stubborn"}
-        assert all(row["counts_match"] for row in rows)
-        assert all(row["kernel_states_per_second"] > 0 for row in rows)
-
-    def test_unknown_problem(self, capsys):
-        assert main(["bench-kernel", "--quick", "--problems", "XX"]) == 2
 
 
 class TestRace:
@@ -521,3 +486,70 @@ class TestQuery:
         )
         assert code == 2
         assert "deadlocks only" in capsys.readouterr().err
+
+
+class TestReachGolden:
+    """``gpo reach`` output on NSDP(4), pinned byte for byte."""
+
+    DFS_EAT0_TRACE = (
+        "takeR'3 ; takeL'3 ; dropR'3 ; takeL2 ; takeL1 ; dropL'3 ; "
+        "takeR'3 ; takeL'3 ; dropL3 ; takeR2 ; dropR'2 ; dropR3 ; "
+        "takeR'3 ; takeL'3 ; dropR'3 ; takeL0 ; dropL'2 ; dropL'3 ; "
+        "takeL3 ; takeR1 ; dropR'1 ; takeL2 ; dropL'1 ; takeR0"
+    )
+
+    @pytest.fixture
+    def nsdp4_file(self, tmp_path):
+        from repro.models import nsdp
+
+        path = str(tmp_path / "nsdp4.net")
+        save_net(nsdp(4), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "target, extra, code, out",
+        [
+            (
+                "eat0 & eat1",
+                ["--order", "bfs"],
+                1,
+                "not reachable  searched 341 states (full, bfs)\n",
+            ),
+            (
+                "eat0 & eat1",
+                ["--order", "dfs"],
+                1,
+                "not reachable  searched 341 states (full, dfs)\n",
+            ),
+            (
+                "eat0",
+                ["--order", "bfs"],
+                0,
+                "REACHED  searched 10 states (full, bfs)\n"
+                "trace: takeL0 ; takeR0\n",
+            ),
+            (
+                "eat0",
+                ["--order", "dfs"],
+                0,
+                "REACHED  searched 63 states (full, dfs)\n"
+                f"trace: {DFS_EAT0_TRACE}\n",
+            ),
+            (
+                "eat0 & eat1",
+                ["--reduce"],
+                1,
+                "not reachable  searched 341 states (full, bfs)\n",
+            ),
+            (
+                "eat0",
+                ["--reduce"],
+                0,
+                "REACHED  searched 10 states (full, bfs)\n"
+                "trace: takeL0 ; takeR0\n",
+            ),
+        ],
+    )
+    def test_output_pinned(self, nsdp4_file, capsys, target, extra, code, out):
+        assert main(["reach", nsdp4_file, "--target", target, *extra]) == code
+        assert capsys.readouterr().out == out

@@ -19,6 +19,7 @@ from repro.net import NetBuilder, NotEnabledError, UnsafeNetError
 from repro.net.kernel import MarkingKernel, iter_bits
 
 from tests.conftest import safe_nets, state_machine_nets
+from tests.oracle import oracle_check_safe, oracle_explore, oracle_explore_reduced
 
 COMMON = dict(
     max_examples=60,
@@ -216,7 +217,7 @@ class TestIndexTables:
 
 
 class TestAnalyzerEquivalence:
-    """Graph-level equivalence of the kernel and reference spaces."""
+    """Graph-level equivalence of the kernel explorers and the oracle."""
 
     @given(net=state_machine_nets())
     @settings(max_examples=25, deadline=None,
@@ -224,8 +225,8 @@ class TestAnalyzerEquivalence:
     def test_full_analysis_is_byte_identical(self, net):
         import repro.analysis.reachability as full
 
-        reference = full.explore(net, use_kernel=False, max_states=3000)
-        kernelized = full.explore(net, use_kernel=True, max_states=3000)
+        reference = oracle_explore(net, max_states=3000)
+        kernelized = full.explore(net, max_states=3000)
         assert list(reference.states()) == list(kernelized.states())
         assert list(reference.edges()) == list(kernelized.edges())
         assert reference.deadlocks == kernelized.deadlocks
@@ -236,12 +237,8 @@ class TestAnalyzerEquivalence:
     def test_stubborn_analysis_is_byte_identical(self, net):
         import repro.stubborn.explorer as stubborn
 
-        reference = stubborn.explore_reduced(
-            net, use_kernel=False, max_states=3000
-        )
-        kernelized = stubborn.explore_reduced(
-            net, use_kernel=True, max_states=3000
-        )
+        reference = oracle_explore_reduced(net, max_states=3000)
+        kernelized = stubborn.explore_reduced(net, max_states=3000)
         assert list(reference.states()) == list(kernelized.states())
         assert list(reference.edges()) == list(kernelized.edges())
         assert reference.deadlocks == kernelized.deadlocks
@@ -252,22 +249,32 @@ class TestAnalyzerEquivalence:
     def test_check_safe_matches_reference(self, net):
         from repro.net.validation import check_safe
 
-        reference = check_safe(net, use_kernel=False)
-        kernelized = check_safe(net, use_kernel=True)
+        reference = oracle_check_safe(net)
+        kernelized = check_safe(net)
         assert reference.status == kernelized.status
         assert reference.states == kernelized.states
         assert reference.violation == kernelized.violation
 
+    @given(net=safe_nets())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_check_safe_violation_matches_reference(self, net):
+        """On possibly-unsafe nets the violation and its count agree."""
+        from repro.net.validation import check_safe
+
+        reference = oracle_check_safe(net, max_states=2000)
+        kernelized = check_safe(net, max_states=2000)
+        assert reference == kernelized
+
     def test_deadlock_witness_matches_reference(self):
         import repro.analysis.reachability as full
         from repro.models import nsdp
+        from repro.search.witness import extract_witness
 
         net = nsdp(3)
-        reference = full.analyze(net, use_kernel=False)
-        kernelized = full.analyze(net, use_kernel=True)
-        assert str(reference.witness) == str(kernelized.witness)
-        assert reference.extras["kernel"] is False
-        assert kernelized.extras["kernel"] is True
+        reference = extract_witness(net, oracle_explore(net))
+        kernelized = full.analyze(net)
+        assert str(reference) == str(kernelized.witness)
 
 
 class TestClosureMemo:
@@ -313,8 +320,8 @@ class TestClosureMemo:
         from repro.obs import names
 
         net = nsdp(4)
-        first = stubborn.analyze(net, use_kernel=True, want_witness=False)
-        second = stubborn.analyze(net, use_kernel=True, want_witness=False)
+        first = stubborn.analyze(net, want_witness=False)
+        second = stubborn.analyze(net, want_witness=False)
         key = names.STUBBORN_CLOSURE_ITERATIONS
         assert first.extras[key] == second.extras[key]
         assert first.states == second.states

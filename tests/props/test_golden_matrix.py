@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reachability import MarkingSpace, analyze as full_analyze
+from repro.analysis.reachability import KernelMarkingSpace, analyze as full_analyze
 from repro.engine.jobs import ANALYZERS, Budget, VerificationJob, execute_job
 from repro.harness.table1 import PROBLEMS
 from repro.net.validation import check_safe
@@ -141,9 +141,10 @@ class TestOldFlagEquivalence:
         from repro.props.compile import predicate_fn
 
         hit = predicate_fn(net, prop.pred)
+        space = KernelMarkingSpace(net)
         search = find_state(
-            MarkingSpace(net),
-            lambda marking: hit(net.marking_names(marking)),
+            space,
+            lambda bits: hit(net.marking_names(space.decode(bits))),
             max_states=BUDGET["max_states"],
         )
         assert search.reached == result.property_holds

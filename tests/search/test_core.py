@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reachability import MarkingSpace
+from repro.analysis.reachability import KernelMarkingSpace
 from repro.models import nsdp
 from repro.search.core import (
     INSTRUMENTATION_FIELDS,
@@ -49,7 +49,7 @@ class DiamondSpace:
 
 class TestDriverBasics:
     def test_marking_space_satisfies_protocol(self):
-        assert isinstance(MarkingSpace(nsdp(2)), SearchSpace)
+        assert isinstance(KernelMarkingSpace(nsdp(2)), SearchSpace)
 
     def test_exhausts_chain(self):
         outcome = explore(ChainSpace(5))
@@ -144,7 +144,7 @@ class TestInstrumentation:
 
     def test_peak_frontier_sees_branching(self):
         net = nsdp(4)
-        outcome = explore(MarkingSpace(net))
+        outcome = explore(KernelMarkingSpace(net))
         assert outcome.stats.peak_frontier > 1
         assert outcome.stats.mean_enabled > 1.0
 

@@ -1,9 +1,11 @@
 """On-the-fly reachability queries over full and stubborn spaces."""
 
-from repro.analysis.reachability import MarkingSpace, reachable_markings
+from repro.analysis.reachability import reachable_markings
 from repro.models import nsdp
 from repro.search.query import find_state
-from repro.stubborn.explorer import StubbornSpace
+from repro.stubborn.explorer import KernelStubbornSpace
+
+from tests.oracle import OracleMarkingSpace
 
 
 def _names_predicate(net, *places):
@@ -19,7 +21,7 @@ class TestFindState:
     def test_finds_reachable_deadlock_marking(self):
         net = nsdp(2)
         result = find_state(
-            MarkingSpace(net), _names_predicate(net, "hasR0", "hasR1")
+            OracleMarkingSpace(net), _names_predicate(net, "hasR0", "hasR1")
         )
         assert result.reached
         assert result.conclusive
@@ -30,7 +32,7 @@ class TestFindState:
         net = nsdp(4)
         full_size = len(reachable_markings(net))
         result = find_state(
-            MarkingSpace(net),
+            OracleMarkingSpace(net),
             _names_predicate(net, "hasR0", "hasR1", "hasR2", "hasR3"),
         )
         assert result.reached
@@ -38,7 +40,7 @@ class TestFindState:
 
     def test_initial_state_matches_immediately(self):
         net = nsdp(2)
-        result = find_state(MarkingSpace(net), lambda marking: True)
+        result = find_state(OracleMarkingSpace(net), lambda marking: True)
         assert result.reached
         assert result.state == net.initial_marking
         assert result.trace == ()
@@ -46,7 +48,7 @@ class TestFindState:
 
     def test_miss_on_exhausted_space_is_conclusive(self):
         net = nsdp(2)
-        result = find_state(MarkingSpace(net), lambda marking: False)
+        result = find_state(OracleMarkingSpace(net), lambda marking: False)
         assert not result.reached
         assert result.exhaustive
         assert result.conclusive
@@ -54,7 +56,7 @@ class TestFindState:
     def test_miss_under_budget_is_inconclusive(self):
         net = nsdp(4)
         result = find_state(
-            MarkingSpace(net), lambda marking: False, max_states=10
+            OracleMarkingSpace(net), lambda marking: False, max_states=10
         )
         assert not result.reached
         assert not result.exhaustive
@@ -64,15 +66,15 @@ class TestFindState:
         # Stubborn sets preserve deadlocks, so the deadlocked marking is
         # reachable inside the reduced space too.
         net = nsdp(2)
-        result = find_state(
-            StubbornSpace(net), _names_predicate(net, "hasR0", "hasR1")
-        )
+        space = KernelStubbornSpace(net)
+        hit = _names_predicate(net, "hasR0", "hasR1")
+        result = find_state(space, lambda bits: hit(space.decode(bits)))
         assert result.reached
 
     def test_dfs_order_also_finds_target(self):
         net = nsdp(2)
         result = find_state(
-            MarkingSpace(net),
+            OracleMarkingSpace(net),
             _names_predicate(net, "hasR0", "hasR1"),
             order="dfs",
         )

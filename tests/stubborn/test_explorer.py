@@ -69,6 +69,3 @@ class TestAnalyze:
     def test_stop_at_first_deadlock(self):
         graph = explore_reduced(nsdp(3), stop_at_first_deadlock=True)
         assert len(graph.deadlocks) == 1
-
-    def test_strategy_recorded(self):
-        assert analyze(choice_net()).extras["strategy"] == "best"
