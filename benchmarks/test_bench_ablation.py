@@ -7,17 +7,23 @@
    engine reproduces the 1998 SMV blow-up — the monolithic relation even
    shares frame-condition structure our per-transition relations repeat.
    The ablation pins the fixpoint equivalence and lets the timings speak.
-2. **GPO family backend** — BDD-backed scenario families vs explicit
-   frozensets.  Explicit families carry exponentially many scenarios per
-   state; the BDD backend keeps them polynomial on the benchmarks.
+2. **GPO scenario families** — the BDD families GPO runs on vs the
+   frozenset family oracle of ``tests/oracle.py``.  Explicit families
+   carry exponentially many scenarios per state; BDDs keep them
+   polynomial on the benchmarks.
 """
 
 import pytest
 
 from repro.gpo import analyze as gpo_analyze
+from repro.gpo import explore_gpo
 from repro.models import conflict_pairs_net, nsdp, rw
 from repro.symbolic import reach
 from repro.unfolding import unfold
+from tests.oracle import oracle_explore_gpo
+
+#: Family representation -> GPO explorer.
+EXPLORERS = {"explicit": oracle_explore_gpo, "bdd": explore_gpo}
 
 
 class TestShape:
@@ -37,10 +43,11 @@ class TestShape:
     def test_backends_same_answers(self):
         for make in (lambda: nsdp(3), lambda: rw(4)):
             net = make()
-            explicit = gpo_analyze(net, backend="explicit")
-            bdd = gpo_analyze(net, backend="bdd")
-            assert explicit.states == bdd.states
-            assert explicit.deadlock == bdd.deadlock
+            explicit = oracle_explore_gpo(net)
+            bdd = gpo_analyze(net)
+            assert explicit.graph.num_states == bdd.states
+            assert explicit.graph.num_edges == bdd.edges
+            assert explicit.has_deadlock == bdd.deadlock
 
     def test_unfolding_prefix_linear_on_conflict_pairs(self):
         # Where PO-reduced graphs blow up (2^(n+1) - 1 states), the
@@ -72,13 +79,13 @@ def test_bench_symbolic_naive(benchmark, n):
     benchmark(lambda: reach(nsdp(n), partitioned=False, use_force_order=False))
 
 
-@pytest.mark.parametrize("backend", ["explicit", "bdd"])
+@pytest.mark.parametrize("backend", sorted(EXPLORERS, reverse=True))
 def test_bench_gpo_backend_nsdp(benchmark, backend):
-    benchmark(lambda: gpo_analyze(nsdp(4), backend=backend))
+    benchmark(lambda: EXPLORERS[backend](nsdp(4)))
 
 
-@pytest.mark.parametrize("backend", ["explicit", "bdd"])
+@pytest.mark.parametrize("backend", sorted(EXPLORERS, reverse=True))
 def test_bench_gpo_backend_conflict_pairs(benchmark, backend):
-    # 2^10 scenarios: the explicit backend pays linearly in scenarios,
-    # the BDD backend logarithmically.
-    benchmark(lambda: gpo_analyze(conflict_pairs_net(10), backend=backend))
+    # 2^10 scenarios: explicit families pay linearly in scenarios, BDD
+    # families logarithmically.
+    benchmark(lambda: EXPLORERS[backend](conflict_pairs_net(10)))

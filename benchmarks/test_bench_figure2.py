@@ -32,7 +32,7 @@ class TestShape:
     def test_gpo_covers_all_outcomes(self):
         # The single successor state stands for all 2^n branch outcomes.
         n = 6
-        result = gpo_analyze(conflict_pairs_net(n), backend="bdd")
+        result = gpo_analyze(conflict_pairs_net(n))
         assert result.extras["scenarios"] == 2**n
 
 

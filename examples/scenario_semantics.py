@@ -42,7 +42,7 @@ def tour_figure3():
     print("Figure 3: colored tokens distinguish conflicting paths")
     print("=" * 64)
     net = figure3_net()
-    gpn = Gpn(net, backend="explicit")
+    gpn = Gpn(net)
     state = gpn.initial_state()
     show_state(gpn, state, "initial state (white token in p1)")
 
@@ -77,7 +77,7 @@ def tour_figure7():
     print("Figure 7: sequential conflicts induce extended conflicts")
     print("=" * 64)
     net = figure7_net()
-    gpn = Gpn(net, backend="explicit")
+    gpn = Gpn(net)
     state = gpn.initial_state()
     show_state(gpn, state, "initial state")
 

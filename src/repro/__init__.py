@@ -9,7 +9,8 @@ Partial Order Analysis"* (Vercauteren, Verkest, de Jong, Lin — DATE 1998):
   the paper's "SPIN+PO" regime;
 * :mod:`repro.bdd` / :mod:`repro.symbolic` — from-scratch ROBDD engine and
   symbolic reachability, the paper's "SMV" regime;
-* :mod:`repro.families` — compact set-of-transition-set representations;
+* :mod:`repro.families` — BDD-backed families of transition sets (the
+  GPN scenario annotations);
 * :mod:`repro.gpo` — the paper's contribution: Generalized Petri Nets and
   the generalized partial-order analysis procedure;
 * :mod:`repro.models` — the benchmark families of Table 1 (NSDP, ASAT,

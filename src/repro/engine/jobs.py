@@ -60,8 +60,8 @@ ANALYZERS: dict[str, Callable[..., AnalysisResult]] = {
     "symbolic": symbolic_analyze,
     "gpo": gpo_analyze,
     "unfolding": unfolding_analyze,
-    # Sharded level-synchronized BFS; shard count / inner semantics ride
-    # ``Budget.extra`` (e.g. ``{"shards": 4, "inner": "stubborn"}``).
+    # Sharded level-synchronized BFS; the shard count rides
+    # ``Budget.extra`` (e.g. ``{"shards": 4}``).
     "parallel": analyze_parallel,
 }
 

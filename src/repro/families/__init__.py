@@ -1,18 +1,9 @@
 """Families of transition sets: the GPN marking representation.
 
-Provides the abstract :class:`SetFamily` interface with explicit and
-BDD-backed implementations; see :mod:`repro.families.base`.
+:class:`BddFamily` values built by a :class:`BddContext`; see
+:mod:`repro.families.bddfam`.
 """
 
-from repro.families.base import FamilyContext, SetFamily
 from repro.families.bddfam import BddContext, BddFamily
-from repro.families.explicit import ExplicitContext, ExplicitFamily
 
-__all__ = [
-    "SetFamily",
-    "FamilyContext",
-    "ExplicitFamily",
-    "ExplicitContext",
-    "BddFamily",
-    "BddContext",
-]
+__all__ = ["BddFamily", "BddContext"]

@@ -1,9 +1,13 @@
-"""BDD-backed family backend.
+"""Families of transition sets as BDDs: the GPN marking representation.
 
-A family ``F ⊆ 2^T`` is the set of satisfying assignments of a Boolean
-function over one variable per transition.  All family operations the GPN
-semantics needs are Boolean operations on the shared
-:class:`~repro.bdd.manager.BddManager` held by the context:
+A GPN state (paper Def. 3.1) maps every place to an element of ``2^(2^T)``
+— a *family* of transition sets — and carries the family ``r`` of valid
+transition sets.  These families are exponentially large in the worst case
+(``r0`` is the set of maximal independent sets of the conflict graph), so
+they are kept symbolically: a family ``F ⊆ 2^T`` is the set of satisfying
+assignments of a Boolean function over one variable per transition.  All
+family operations the GPN semantics needs are Boolean operations on the
+shared :class:`~repro.bdd.manager.BddManager` held by the context:
 
 =====================  =====================================
 family operation       Boolean operation
@@ -35,14 +39,17 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.bdd.manager import ONE, ZERO, BddManager
 from repro.bdd.ops import any_model, iter_models, satcount
-from repro.families.base import FamilyContext, SetFamily
 from repro.net.structure import connected_components
 
 __all__ = ["BddFamily", "BddContext"]
 
 
-class BddFamily(SetFamily):
-    """A family represented by a BDD node in its context's manager."""
+class BddFamily:
+    """An immutable family: a BDD node in its context's manager.
+
+    Value semantics within one context: equal families are the same node
+    (ROBDD canonicity), so equality and hashing are O(1).
+    """
 
     __slots__ = ("ctx", "node")
 
@@ -51,15 +58,15 @@ class BddFamily(SetFamily):
         self.node = node
 
     # -- algebra --------------------------------------------------------
-    def intersect(self, other: SetFamily) -> "BddFamily":
+    def intersect(self, other: "BddFamily") -> "BddFamily":
         assert isinstance(other, BddFamily) and other.ctx is self.ctx
         return BddFamily(self.ctx, self.ctx.mgr.and_(self.node, other.node))
 
-    def union(self, other: SetFamily) -> "BddFamily":
+    def union(self, other: "BddFamily") -> "BddFamily":
         assert isinstance(other, BddFamily) and other.ctx is self.ctx
         return BddFamily(self.ctx, self.ctx.mgr.or_(self.node, other.node))
 
-    def difference(self, other: SetFamily) -> "BddFamily":
+    def difference(self, other: "BddFamily") -> "BddFamily":
         assert isinstance(other, BddFamily) and other.ctx is self.ctx
         return BddFamily(self.ctx, self.ctx.mgr.diff(self.node, other.node))
 
@@ -103,9 +110,13 @@ class BddFamily(SetFamily):
             if model[self.ctx.level_of(t)]
         )
 
-    def is_subset(self, other: SetFamily) -> bool:
+    def is_subset(self, other: "BddFamily") -> bool:
         assert isinstance(other, BddFamily) and other.ctx is self.ctx
         return self.ctx.mgr.diff(self.node, other.node) == ZERO
+
+    def as_frozensets(self, *, limit: int | None = None) -> frozenset[frozenset[int]]:
+        """Materialize (a prefix of) the family — for tests and debugging."""
+        return frozenset(self.iter_sets(limit=limit))
 
     # -- value semantics -------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -117,6 +128,9 @@ class BddFamily(SetFamily):
     def __hash__(self) -> int:
         return hash((id(self.ctx), self.node))
 
+    def __bool__(self) -> bool:
+        return not self.is_empty()
+
     def __repr__(self) -> str:
         size = self.count()
         preview = sorted(tuple(sorted(v)) for v in self.iter_sets(limit=4))
@@ -124,16 +138,18 @@ class BddFamily(SetFamily):
         return f"BddFamily(|F|={size}, {preview}{suffix})"
 
 
-class BddContext(FamilyContext):
-    """Factory holding the shared manager and the transition→level map.
+class BddContext:
+    """Factory for families over a fixed transition universe ``0..n-1``.
 
-    The identity level map is used: transition ``t`` is BDD level ``t``.
-    (Conflict graphs of the benchmark nets are locally clustered in
-    declaration order, which is already a good order.)
+    Holds the shared manager and the transition→level map; one context is
+    created per analysis run, and families from different contexts must
+    not be mixed.  The identity level map is used: transition ``t`` is BDD
+    level ``t``.  (Conflict graphs of the benchmark nets are locally
+    clustered in declaration order, which is already a good order.)
     """
 
     def __init__(self, num_transitions: int) -> None:
-        super().__init__(num_transitions)
+        self.num_transitions = num_transitions
         self.mgr = BddManager()
         self.mgr.declare(num_transitions)
 
@@ -167,9 +183,37 @@ class BddContext(FamilyContext):
         )
         return BddFamily(self, node)
 
+    def union_all(self, families: Iterable[BddFamily]) -> BddFamily:
+        """Union of many families (∅ for no operands)."""
+        result = self.empty()
+        for family in families:
+            result = result.union(family)
+        return result
+
+    def intersect_all(self, families: Sequence[BddFamily]) -> BddFamily:
+        """Intersection of one-or-more families.
+
+        An empty operand list would be the universal family; GPN semantics
+        never needs it (every transition has input places), so it raises.
+        """
+        if not families:
+            raise ValueError("intersect_all needs at least one family")
+        result = families[0]
+        for family in families[1:]:
+            if result.is_empty():
+                break
+            result = result.intersect(family)
+        return result
+
     def maximal_independent_sets(
         self, adjacency: Sequence[set[int]] | Sequence[frozenset[int]]
     ) -> BddFamily:
+        """All maximal independent sets of the given conflict graph.
+
+        This is the paper's ``r0`` (Section 3.3, in the maximal reading its
+        worked examples use): every valid transition set resolves each
+        conflict, and no conflicting pair appears together.
+        """
         n = self.num_transitions
         if len(adjacency) != n:
             raise ValueError("adjacency size must match the universe")

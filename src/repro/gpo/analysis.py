@@ -26,12 +26,12 @@ back-edges that trigger the anti-ignoring expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
 from repro.analysis.stats import AnalysisResult, DeadlockWitness, stopwatch
-from repro.families.base import SetFamily
+from repro.families.bddfam import BddFamily
 from repro.gpo.candidates import candidate_mcs, single_enabled_mcs
-from repro.gpo.gpn import Backend, Gpn, GpnState
+from repro.gpo.gpn import Gpn, GpnState
 from repro.gpo.mapping import scenario_marking
 from repro.gpo.semantics import (
     dead_scenarios,
@@ -61,6 +61,9 @@ from repro.search.core import explore as _drive
 from repro.search.graph import ReachabilityGraph
 from repro.search.observers import TracingObserver
 
+if TYPE_CHECKING:
+    from repro.gpo.safety import MarkingConstraint
+
 __all__ = ["GpoOptions", "GpoResult", "GpnSpace", "explore_gpo", "analyze"]
 
 OnDeadlock = Literal["stop-branch", "stop-all", "continue"]
@@ -70,21 +73,16 @@ OnDeadlock = Literal["stop-branch", "stop-all", "continue"]
 class GpoOptions:
     """Tuning knobs for the GPO explorer.
 
-    ``backend`` selects the scenario-family representation; ``on_deadlock``
-    controls what happens when a state fails the §3.3 deadlock check
-    (``"stop-branch"`` reproduces the paper's pseudocode, ``"continue"``
-    keeps exploring the surviving scenarios, ``"stop-all"`` aborts the
-    whole search at the first hit); ``validate`` re-checks the candidate
-    preservation condition semantically after every multiple firing (slow;
-    used by the test-suite).  ``max_seconds`` is a cooperative wall-clock
-    budget checked once per visited state.
+    ``on_deadlock`` controls what happens when a state fails the §3.3
+    deadlock check (``"stop-branch"`` reproduces the paper's pseudocode,
+    ``"continue"`` keeps exploring the surviving scenarios, ``"stop-all"``
+    aborts the whole search at the first hit).  ``max_seconds`` is a
+    cooperative wall-clock budget checked once per visited state.
     """
 
-    backend: Backend = "bdd"
     on_deadlock: OnDeadlock = "stop-branch"
     max_states: int | None = None
     max_seconds: float | None = None
-    validate: bool = False
 
 
 @dataclass
@@ -93,7 +91,7 @@ class GpoResult:
 
     gpn: Gpn
     graph: ReachabilityGraph[GpnState]
-    deadlock_states: list[tuple[GpnState, SetFamily]] = field(
+    deadlock_states: list[tuple[GpnState, BddFamily]] = field(
         default_factory=list
     )
 
@@ -102,30 +100,54 @@ class GpoResult:
         """True when any state failed the deadlock check."""
         return bool(self.deadlock_states)
 
-    def witnesses(self, *, limit: int | None = 1) -> list[DeadlockWitness]:
-        """Concrete deadlocked classical markings with GPN-level traces.
+    def witness(
+        self, state: GpnState, scenarios: BddFamily, *, label: str = "deadlock"
+    ) -> DeadlockWitness:
+        """Decode one scenario of ``state`` into a witness.
 
-        Each witness decodes one dead scenario of a failing state into the
-        classical marking it maps to (Def. 3.4).  Trace steps are the fired
-        transition labels along the GPN path; multiple firings render as
-        ``{a,b,...}``.
+        The marking is the classical marking the scenario maps to
+        (Def. 3.4); trace steps are the fired transition labels along the
+        GPN path, multiple firings rendered as ``{a,b,...}``.
         """
-        out: list[DeadlockWitness] = []
-        for state, dead in self.deadlock_states:
-            scenario = dead.any_set()
-            if scenario is None:
-                continue
-            marking = scenario_marking(self.gpn, state, scenario)
-            path = self.graph.path_to(state) or []
-            out.append(
-                DeadlockWitness(
-                    marking=self.gpn.net.marking_names(marking),
-                    trace=tuple(label for label, _ in path),
-                )
-            )
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        scenario = scenarios.any_set()
+        assert scenario is not None, "a witness needs a non-empty family"
+        marking = scenario_marking(self.gpn, state, scenario)
+        path = self.graph.path_to(state) or []
+        return DeadlockWitness(
+            marking=self.gpn.net.marking_names(marking),
+            trace=tuple(step for step, _ in path),
+            label=label,
+        )
+
+    def witnesses(self, *, limit: int | None = 1) -> list[DeadlockWitness]:
+        """Deadlock witnesses, one per failing state, in discovery order."""
+        return [
+            self.witness(state, dead)
+            for state, dead in self.deadlock_states[:limit]
+        ]
+
+    def screen(
+        self, constraints: Sequence["MarkingConstraint"]
+    ) -> tuple["MarkingConstraint", GpnState, BddFamily] | None:
+        """The first explored state with a scenario inside a constraint.
+
+        States are scanned in discovery order and, per state, constraints
+        in the given order.  The scenarios placing ``state`` inside a
+        constraint are ``⋂ m(p_marked) ∩ r \\ ⋃ m(p_unmarked)``; every
+        one maps to a classically reachable marking, so a hit is a real
+        violation.  Returns ``(constraint, state, scenarios)`` or ``None``.
+        """
+        place_id = self.gpn.net.place_id
+        for state in self.graph.states():
+            for constraint in constraints:
+                family = state.valid
+                for place in constraint.marked:
+                    family = family.intersect(state.marking[place_id(place)])
+                for place in constraint.unmarked:
+                    family = family.difference(state.marking[place_id(place)])
+                if not family.is_empty():
+                    return constraint, state, family
+        return None
 
 
 class GpnSpace:
@@ -142,12 +164,12 @@ class GpnSpace:
     def __init__(self, gpn: Gpn, options: GpoOptions) -> None:
         self.gpn = gpn
         self.options = options
-        self.deadlock_states: list[tuple[GpnState, SetFamily]] = []
+        self.deadlock_states: list[tuple[GpnState, BddFamily]] = []
         self.scenario_states = 0
         self.scenario_total = 0
         self.scenario_max = 0
         self._memo_state: GpnState | None = None
-        self._memo: tuple[dict, dict, SetFamily] | None = None
+        self._memo: tuple[dict, dict, BddFamily] | None = None
         # Null instrument unless a tracer is active at construction time;
         # observing on it is a no-op method call per expanded state.
         self._scenario_sizes = current_tracer().metrics.histogram(
@@ -157,7 +179,7 @@ class GpnSpace:
     def initial(self) -> GpnState:
         return self.gpn.initial_state()
 
-    def _families(self, state: GpnState) -> tuple[dict, dict, SetFamily]:
+    def _families(self, state: GpnState) -> tuple[dict, dict, BddFamily]:
         if state is not self._memo_state:
             single, multiple = enabled_families(self.gpn, state)
             dead = dead_scenarios(self.gpn, state, single)
@@ -192,10 +214,6 @@ class GpnSpace:
         )
         if candidates:
             fired, successor = candidates
-            if self.options.validate:
-                _validate_candidate_preservation(
-                    gpn, state, fired, successor, single, multiple
-                )
             yield gpn.set_label(fired), successor
 
             # Footnote 2's "not postponed forever" check (the ignoring
@@ -243,8 +261,8 @@ def _explore(
 ) -> tuple[GpoResult, SearchOutcome[GpnState], GpnSpace]:
     """Drive the GPO space; shared by :func:`explore_gpo` and :func:`analyze`."""
     tracer = current_tracer()
-    with tracer.span(names.SPAN_GPN_BUILD, backend=options.backend):
-        gpn = Gpn(net, backend=options.backend)
+    with tracer.span(names.SPAN_GPN_BUILD):
+        gpn = Gpn(net)
     space = GpnSpace(gpn, options)
     observers = (TracingObserver(tracer),) if tracer.enabled else ()
     outcome = _drive(
@@ -281,8 +299,8 @@ def explore_gpo(
 def _preserves_enabled(
     gpn: Gpn,
     successor: GpnState,
-    single: dict[int, SetFamily],
-    multiple: dict[int, SetFamily],
+    single: dict[int, BddFamily],
+    multiple: dict[int, BddFamily],
     fired: frozenset[int],
 ) -> bool:
     """The paper's candidate side-condition, checked semantically.
@@ -309,8 +327,8 @@ def _viable_candidates(
     gpn: Gpn,
     state: GpnState,
     candidates: list[frozenset[int]],
-    single: dict[int, SetFamily],
-    multiple: dict[int, SetFamily],
+    single: dict[int, BddFamily],
+    multiple: dict[int, BddFamily],
 ) -> tuple[frozenset[int], GpnState] | None:
     """Select the candidate MCSs that satisfy the §3.3 side-condition.
 
@@ -338,49 +356,12 @@ def _viable_candidates(
     return viable[0]
 
 
-def _validate_candidate_preservation(
-    gpn: Gpn,
-    state: GpnState,
-    fired: frozenset[int],
-    successor: GpnState,
-    single: dict[int, SetFamily],
-    multiple: dict[int, SetFamily],
-) -> None:
-    """Semantic re-check of the candidate soundness invariants.
-
-    1. Every multiple-enabled transition outside the fired union must stay
-       multiple-enabled (its enabling family is a term of the ``r'`` union
-       and its input places only gain scenarios).
-    2. Every scenario leaving ``r`` must be rescuable: it either enables
-       no transition at all (a dead scenario, reported by the deadlock
-       check) or single-enables some *fired* transition, whose
-       single-firing branch the explorer adds.
-
-    The property-test suite runs with ``validate=True`` to falsify these
-    if it can.
-    """
-    if not _preserves_enabled(gpn, successor, single, multiple, fired):
-        raise AssertionError(
-            "candidate firing disabled a postponed enabled transition"
-        )
-    # Note: scenarios *may* leave r here (pre-commitments that became
-    # jointly infeasible).  End-to-end deadlock-verdict equivalence with
-    # the full classical analysis — the property the paper's procedure
-    # guarantees — is established by the property-test suite and the
-    # fuzzing harness rather than a per-step assertion: the classical
-    # interleavings a dying scenario stood for remain covered across the
-    # other branches the explorer takes (sibling single firings, and the
-    # anti-ignoring expansion on cycles).
-
-
 def analyze(
     net: PetriNet,
     *,
-    backend: Backend = "bdd",
     on_deadlock: OnDeadlock = "stop-branch",
     max_states: int | None = None,
     max_seconds: float | None = None,
-    validate: bool = False,
     want_witness: bool = True,
     prop: "Property | str | None" = None,
 ) -> AnalysisResult:
@@ -407,11 +388,9 @@ def analyze(
             goal_prop,
             lambda leaf: analyze(
                 net,
-                backend=backend,
                 on_deadlock=on_deadlock,
                 max_states=max_states,
                 max_seconds=max_seconds,
-                validate=validate,
                 want_witness=want_witness,
                 prop=leaf,
             ),
@@ -442,11 +421,9 @@ def analyze(
                 MarkingConstraint(marked=m, unmarked=u) for m, u in cubes
             ]
     options = GpoOptions(
-        backend=backend,
         on_deadlock=on_deadlock,
         max_states=max_states,
         max_seconds=max_seconds,
-        validate=validate,
     )
     tracer = current_tracer()
     with tracer.span(names.SPAN_ANALYZE, analyzer="gpo", net=net.name) as root:
@@ -458,37 +435,17 @@ def analyze(
             result, outcome, space = _explore(net, options)
             found = None
             if goal_constraints is not None:
-                from repro.gpo.safety import _violating_scenarios
-
-                for state in result.graph.states():
-                    for constraint in goal_constraints:
-                        violating = _violating_scenarios(
-                            result.gpn, state, constraint
-                        )
-                        if not violating.is_empty():
-                            found = (state, violating)
-                            break
-                    if found:
-                        break
+                found = result.screen(goal_constraints)
         witness = None
         if goal_prop is None:
             with tracer.span(names.SPAN_WITNESS):
                 witnesses = result.witnesses(limit=1) if want_witness else []
                 witness = witnesses[0] if witnesses else None
         elif found is not None and want_witness:
-            state, violating = found
-            scenario = violating.any_set()
-            assert scenario is not None
-            marking = scenario_marking(result.gpn, state, scenario)
-            path = result.graph.path_to(state) or []
+            _, state, violating = found
             with tracer.span(names.SPAN_WITNESS):
-                witness = DeadlockWitness(
-                    marking=net.marking_names(marking),
-                    trace=tuple(label for label, _ in path),
-                    label=goal_label,
-                )
+                witness = result.witness(state, violating, label=goal_label)
         extras: dict[str, object] = {
-            "backend": backend,
             "scenarios": result.gpn.r0.count(),
             "deadlock_states": len(result.deadlock_states),
         }

@@ -18,9 +18,10 @@ The analysis procedure prioritizes three regimes per state:
    transition outside the candidate cannot share an input place with it
    (it would be in the component), and the ``r'`` update keeps every
    postponed transition's enabling family intact because that family is
-   itself a term of the ``r'`` union.  The semantic re-check lives in
-   :func:`repro.gpo.analysis._validate_candidate_preservation` and is
-   exercised by the validation test-suite.
+   itself a term of the ``r'`` union.  The explorer still vets every
+   candidate semantically before firing it
+   (:func:`repro.gpo.analysis._preserves_enabled`) and falls back to
+   single firing when the check fails.
 
 2. **single-enabled MCSs** — when no candidate exists, a *full* conflict
    component all of whose members are single-enabled can be branched over
@@ -37,7 +38,7 @@ The analysis procedure prioritizes three regimes per state:
 
 from __future__ import annotations
 
-from repro.families.base import SetFamily
+from repro.families.bddfam import BddFamily
 from repro.gpo.gpn import Gpn
 
 __all__ = ["candidate_mcs", "single_enabled_mcs"]
@@ -45,7 +46,7 @@ __all__ = ["candidate_mcs", "single_enabled_mcs"]
 
 def candidate_mcs(
     gpn: Gpn,
-    multiple: dict[int, SetFamily],
+    multiple: dict[int, BddFamily],
 ) -> list[frozenset[int]]:
     """Maximal conflicting sets of multiple-enabled transitions.
 
@@ -76,7 +77,7 @@ def candidate_mcs(
 
 def single_enabled_mcs(
     gpn: Gpn,
-    single: dict[int, SetFamily],
+    single: dict[int, BddFamily],
 ) -> frozenset[int] | None:
     """One *full* MCS entirely single-enabled, or ``None``.
 

@@ -14,29 +14,25 @@ GPN state can stand for exponentially many interleaved outcomes.
 
 from __future__ import annotations
 
-from typing import Iterator, Literal
+from typing import Iterator
 
-from repro.families.base import FamilyContext, SetFamily
-from repro.families.bddfam import BddContext
-from repro.families.explicit import ExplicitContext
+from repro.families.bddfam import BddContext, BddFamily
 from repro.net.petrinet import PetriNet
 from repro.net.structure import StructuralInfo
 
-__all__ = ["Gpn", "GpnState", "Backend"]
-
-Backend = Literal["bdd", "explicit"]
+__all__ = ["Gpn", "GpnState"]
 
 
 class GpnState:
     """Immutable GPN state: per-place families plus the valid family ``r``.
 
-    Hashable value object; with the BDD backend hashing reduces to node
-    ids, making state dedup in the explorer O(|P|).
+    Hashable value object; hashing reduces to BDD node ids, making state
+    dedup in the explorer O(|P|).
     """
 
     __slots__ = ("marking", "valid", "_hash")
 
-    def __init__(self, marking: tuple[SetFamily, ...], valid: SetFamily) -> None:
+    def __init__(self, marking: tuple[BddFamily, ...], valid: BddFamily) -> None:
         self.marking = marking
         self.valid = valid
         self._hash: int | None = None
@@ -60,7 +56,7 @@ class GpnState:
 
 
 class Gpn:
-    """A Generalized Petri Net bound to a family backend.
+    """A Generalized Petri Net over BDD scenario families.
 
     Wraps the underlying safe net with its structural analysis (conflict
     graph, maximal conflict sets) and the family context, and constructs
@@ -70,22 +66,16 @@ class Gpn:
         r0      = maximal independent sets of the conflict graph
 
     >>> from repro.models.figures import choice_net
-    >>> gpn = Gpn(choice_net(), backend="explicit")
+    >>> gpn = Gpn(choice_net())
     >>> gpn.r0.count()   # scenarios: choose a or choose b
     2
     """
 
-    def __init__(self, net: PetriNet, *, backend: Backend = "bdd") -> None:
+    def __init__(self, net: PetriNet) -> None:
         self.net = net
         self.kernel = net.kernel()
         self.info = StructuralInfo(net)
-        if backend == "bdd":
-            self.ctx: FamilyContext = BddContext(net.num_transitions)
-        elif backend == "explicit":
-            self.ctx = ExplicitContext(net.num_transitions)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
+        self.ctx = BddContext(net.num_transitions)
         self.r0 = self.ctx.maximal_independent_sets(self.info.adjacency)
 
     def initial_state(self) -> GpnState:
@@ -116,7 +106,7 @@ class Gpn:
 
     def iter_place_families(
         self, state: GpnState
-    ) -> Iterator[tuple[str, SetFamily]]:
+    ) -> Iterator[tuple[str, BddFamily]]:
         """(place name, family) pairs for non-empty places — debugging aid."""
         for p, family in enumerate(state.marking):
             if not family.is_empty():

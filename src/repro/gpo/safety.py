@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.analysis.stats import DeadlockWitness, stopwatch
-from repro.families.base import SetFamily
 from repro.gpo.analysis import GpoOptions, explore_gpo
-from repro.gpo.gpn import Gpn, GpnState
-from repro.gpo.mapping import scenario_marking
 from repro.net.petrinet import PetriNet
+from repro.props.ast import And, Marked, Not, Predicate, Top
 
 __all__ = [
     "MarkingConstraint",
@@ -67,6 +65,14 @@ class MarkingConstraint:
         """Render as a conjunction, e.g. ``cs0 & cs1 & !lock``."""
         parts = list(self.marked) + [f"!{p}" for p in self.unmarked]
         return " & ".join(parts) if parts else "true"
+
+    def predicate(self) -> Predicate:
+        """The constraint as a :mod:`repro.props` predicate (a cube)."""
+        literals: list[Predicate] = [Marked(p) for p in self.marked]
+        literals += [Not(Marked(p)) for p in self.unmarked]
+        if len(literals) > 1:
+            return And(tuple(literals))
+        return literals[0] if literals else Top()
 
     def holds_in(self, marking_names: frozenset[str]) -> bool:
         """Direct evaluation on a classical marking (for cross-checks)."""
@@ -103,22 +109,6 @@ class SafetyResult:
         )
 
 
-def _violating_scenarios(
-    gpn: Gpn, state: GpnState, constraint: MarkingConstraint
-) -> SetFamily:
-    """Scenarios of ``state`` whose induced marking satisfies ``constraint``."""
-    family = state.valid
-    for place in constraint.marked:
-        family = family.intersect(state.marking[gpn.net.place_id(place)])
-        if family.is_empty():
-            return family
-    for place in constraint.unmarked:
-        family = family.difference(state.marking[gpn.net.place_id(place)])
-        if family.is_empty():
-            return family
-    return family
-
-
 #: Default GPN-state budget for the refutation screen: the screen is a
 #: best-effort fast path, so a blow-up simply hands over to certification.
 SCREEN_BUDGET = 2000
@@ -148,50 +138,19 @@ def screen_safety(
             result = explore_gpo(net, options)
         except ExplorationLimitReached:
             return None
-        found: tuple[GpnState, MarkingConstraint, SetFamily] | None = None
-        for state in result.graph.states():
-            for constraint in bad:
-                violating = _violating_scenarios(result.gpn, state, constraint)
-                if not violating.is_empty():
-                    found = (state, constraint, violating)
-                    break
-            if found:
-                break
+        found = result.screen(bad)
 
     if found is None:
         return None
-    state, constraint, violating = found
-    scenario = violating.any_set()
-    assert scenario is not None
-    marking = scenario_marking(result.gpn, state, scenario)
-    path = result.graph.path_to(state) or []
-    witness = DeadlockWitness(
-        marking=net.marking_names(marking),
-        trace=tuple(label for label, _ in path),
-        label="bad marking",
-    )
+    constraint, state, violating = found
     return SafetyResult(
         safe=False,
         constraint=constraint,
-        witness=witness,
+        witness=result.witness(state, violating, label="bad marking"),
         states_explored=result.graph.num_states,
         time_seconds=elapsed[0],
         extras={"engine": "gpo-screen"},
     )
-
-
-def _constraint_bdd(symnet, constraint: MarkingConstraint) -> int:
-    """Characteristic BDD (current variables) of a marking constraint."""
-    mgr = symnet.mgr
-    node = mgr.and_all(
-        mgr.var(symnet.current[symnet.net.place_id(p)])
-        for p in constraint.marked
-    )
-    for p in constraint.unmarked:
-        node = mgr.and_(
-            node, mgr.nvar(symnet.current[symnet.net.place_id(p)])
-        )
-    return node
 
 
 def check_safety(
@@ -213,7 +172,7 @@ def check_safety(
     """
     from repro.bdd.manager import ZERO
     from repro.bdd.ops import any_model
-    from repro.symbolic.reach import reach
+    from repro.symbolic.reach import predicate_bdd, reach
 
     if screen:
         refuted = screen_safety(net, bad, options=options)
@@ -225,7 +184,7 @@ def check_safety(
         symnet = result.symnet
         for constraint in bad:
             overlap = symnet.mgr.and_(
-                result.reached, _constraint_bdd(symnet, constraint)
+                result.reached, predicate_bdd(symnet, constraint.predicate())
             )
             if overlap != ZERO:
                 model = any_model(

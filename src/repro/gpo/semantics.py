@@ -22,7 +22,7 @@ tested on its bitmasks, so no per-firing frozenset algebra remains.
 
 from __future__ import annotations
 
-from repro.families.base import SetFamily
+from repro.families.bddfam import BddFamily
 from repro.gpo.gpn import Gpn, GpnState
 from repro.obs import names
 from repro.obs.tracer import current_tracer
@@ -37,14 +37,14 @@ __all__ = [
 ]
 
 
-def s_enabled(gpn: Gpn, state: GpnState, t: int) -> SetFamily:
+def s_enabled(gpn: Gpn, state: GpnState, t: int) -> BddFamily:
     """Def. 3.2 — ``⋂_{p ∈ •t} m(p) ∩ r``: scenarios where ``t`` can fire."""
     inputs = [state.marking[p] for p in gpn.kernel.pre_index[t]]
     common = gpn.ctx.intersect_all(inputs)
     return common.intersect(state.valid)
 
 
-def m_enabled(gpn: Gpn, state: GpnState, t: int) -> SetFamily:
+def m_enabled(gpn: Gpn, state: GpnState, t: int) -> BddFamily:
     """Def. 3.5 — ``{v ∈ ⋂_{p ∈ •t} m(p) | t ∈ v}``: scenarios choosing ``t``."""
     inputs = [state.marking[p] for p in gpn.kernel.pre_index[t]]
     common = gpn.ctx.intersect_all(inputs)
@@ -73,7 +73,7 @@ def single_fire(gpn: Gpn, state: GpnState, t: int) -> GpnState:
 
 def enabled_families(
     gpn: Gpn, state: GpnState
-) -> tuple[dict[int, SetFamily], dict[int, SetFamily]]:
+) -> tuple[dict[int, BddFamily], dict[int, BddFamily]]:
     """Per-transition ``s_enabled`` / ``m_enabled`` families, empties omitted.
 
     One pass computing both avoids re-intersecting input families; the
@@ -90,9 +90,9 @@ def enabled_families(
 
 def _enabled_families(
     gpn: Gpn, state: GpnState
-) -> tuple[dict[int, SetFamily], dict[int, SetFamily]]:
-    single: dict[int, SetFamily] = {}
-    multiple: dict[int, SetFamily] = {}
+) -> tuple[dict[int, BddFamily], dict[int, BddFamily]]:
+    single: dict[int, BddFamily] = {}
+    multiple: dict[int, BddFamily] = {}
     pre_index = gpn.kernel.pre_index
     for t in range(gpn.net.num_transitions):
         inputs = [state.marking[p] for p in pre_index[t]]
@@ -115,7 +115,7 @@ def multiple_fire(
     state: GpnState,
     fired: frozenset[int],
     *,
-    families: tuple[dict[int, SetFamily], dict[int, SetFamily]] | None = None,
+    families: tuple[dict[int, BddFamily], dict[int, BddFamily]] | None = None,
 ) -> GpnState:
     """Def. 3.6 — fire a set of transitions simultaneously.
 
@@ -134,7 +134,7 @@ def _multiple_fire(
     gpn: Gpn,
     state: GpnState,
     fired: frozenset[int],
-    families: tuple[dict[int, SetFamily], dict[int, SetFamily]] | None,
+    families: tuple[dict[int, BddFamily], dict[int, BddFamily]] | None,
 ) -> GpnState:
     net = gpn.net
     if families is None:
@@ -180,8 +180,8 @@ def _multiple_fire(
 def dead_scenarios(
     gpn: Gpn,
     state: GpnState,
-    single: dict[int, SetFamily] | None = None,
-) -> SetFamily:
+    single: dict[int, BddFamily] | None = None,
+) -> BddFamily:
     """Scenarios in ``r`` that enable no transition (§3.3 deadlock check).
 
     The paper tests ``⋃_t s_enabled(t, s) ≠ r``; the returned family is the

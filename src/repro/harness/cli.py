@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    gpo verify FILE [--method gpo|full|stubborn|symbolic] [--backend ...]
+    gpo verify FILE [--method gpo|full|stubborn|symbolic]
                 [--property PROP]    # decide PROP with one analyzer
     gpo query FILE PROP       # decide a property: structural layer, then
                               # a compat-filtered portfolio race
@@ -151,6 +151,7 @@ def _verdict_exit(result) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.props.ast import PropertyError
 
+    kwargs = {"prop": args.property} if args.property else {}
     try:
         if args.timed:
             from repro.net import parse_timed_net
@@ -158,18 +159,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
             with open(args.file, "r", encoding="utf-8") as handle:
                 tpn = parse_timed_net(handle.read())
-            kwargs = {}
-            if args.property:
-                kwargs["prop"] = args.property
             result = timed_analyze(tpn, **kwargs)
         else:
-            net = _load(args.file)
-            kwargs = {}
-            if args.method == "gpo":
-                kwargs["backend"] = args.backend
-            if args.property:
-                kwargs["prop"] = args.property
-            result = verify(net, method=args.method, **kwargs)
+            result = verify(_load(args.file), method=args.method, **kwargs)
     except PropertyError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -196,59 +188,55 @@ def _parse_constraint(text: str):
     return MarkingConstraint(marked=tuple(marked), unmarked=tuple(unmarked))
 
 
-def _cmd_safety(args: argparse.Namespace) -> int:
-    from repro.gpo import check_safety
+def _parse_constraints(net, texts: list[str]):
+    """Parse ``--bad``/``--target`` conjunctions over ``net``'s places.
 
-    net = _load(args.file)
+    Returns the constraints, or ``None`` after reporting a malformed
+    conjunction or an unknown place on stderr (exit status 2).
+    """
     try:
-        constraints = [_parse_constraint(text) for text in args.bad]
+        constraints = [_parse_constraint(text) for text in texts]
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
+        return None
     for constraint in constraints:
         for place in constraint.marked + constraint.unmarked:
             if place not in net.place_index:
                 print(f"unknown place {place!r}", file=sys.stderr)
-                return 2
+                return None
+    return constraints
+
+
+def _cmd_safety(args: argparse.Namespace) -> int:
+    from repro.gpo import check_safety
+
+    net = _load(args.file)
+    constraints = _parse_constraints(net, args.bad)
+    if constraints is None:
+        return 2
     result = check_safety(net, constraints, screen=not args.no_screen)
     print(result.describe())
     return 1 if not result.safe else 0
 
 
-def _reach_property(constraints):
-    """The :mod:`repro.props` property a ``reach`` query asks."""
-    from repro.props.ast import And, Marked, Not, Or, Reachable
-
-    cubes = []
-    for constraint in constraints:
-        literals = [Marked(place) for place in constraint.marked]
-        literals += [Not(Marked(place)) for place in constraint.unmarked]
-        cubes.append(And(tuple(literals)) if len(literals) > 1 else literals[0])
-    return Reachable(Or(tuple(cubes)) if len(cubes) > 1 else cubes[0])
-
-
 def _cmd_reach(args: argparse.Namespace) -> int:
     from repro.analysis.reachability import KernelMarkingSpace
+    from repro.props.ast import Or, Reachable
     from repro.props.compat import unsupported_reason
     from repro.search.query import find_state
 
     net = _load(args.file)
-    try:
-        constraints = [_parse_constraint(text) for text in args.target]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    constraints = _parse_constraints(net, args.target)
+    if constraints is None:
         return 2
-    for constraint in constraints:
-        for place in constraint.marked + constraint.unmarked:
-            if place not in net.place_index:
-                print(f"unknown place {place!r}", file=sys.stderr)
-                return 2
 
     # The preservation matrix is the single authority on which reduced
     # searches may take which questions: a reach target is a
     # ``reachable(...)`` property, which the stubborn-set reduction does
     # not preserve — refuse up front instead of searching inconclusively.
-    reason = unsupported_reason(args.method, _reach_property(constraints))
+    cubes = [constraint.predicate() for constraint in constraints]
+    target = Reachable(Or(tuple(cubes)) if len(cubes) > 1 else cubes[0])
+    reason = unsupported_reason(args.method, target)
     if reason is not None:
         print(
             f"reach --method {args.method} refused: {reason}",
@@ -405,13 +393,8 @@ def _run_table1(
             sink.close()
 
 
-def _cmd_race(args: argparse.Namespace) -> int:
-    from repro.props.ast import PropertyError
-
-    net = _load(args.file)
-    methods = (
-        args.methods.split(",") if args.methods else list(DEFAULT_PORTFOLIO)
-    )
+def _unknown_method(methods) -> bool:
+    """Report the first unknown analyzer of a ``--methods`` list on stderr."""
     for method in methods:
         if method not in ANALYZERS:
             print(
@@ -419,7 +402,19 @@ def _cmd_race(args: argparse.Namespace) -> int:
                 f"{', '.join(sorted(ANALYZERS))}",
                 file=sys.stderr,
             )
-            return 2
+            return True
+    return False
+
+
+def _cmd_race(args: argparse.Namespace) -> int:
+    from repro.props.ast import PropertyError
+
+    net = _load(args.file)
+    methods = (
+        args.methods.split(",") if args.methods else list(DEFAULT_PORTFOLIO)
+    )
+    if _unknown_method(methods):
+        return 2
     budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
     cache, sink = _engine_setup(args)
     try:
@@ -452,14 +447,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     net = _load(args.file)
     methods = args.methods.split(",") if args.methods else None
-    for method in methods or ():
-        if method not in ANALYZERS:
-            print(
-                f"unknown analyzer {method!r}; choose from "
-                f"{', '.join(sorted(ANALYZERS))}",
-                file=sys.stderr,
-            )
-            return 2
+    if _unknown_method(methods or ()):
+        return 2
     budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
     cache, sink = _engine_setup(args)
     try:
@@ -940,9 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="gpo",
     )
     p_verify.add_argument(
-        "--backend", choices=("bdd", "explicit"), default="bdd"
-    )
-    p_verify.add_argument(
         "--timed",
         action="store_true",
         help="interpret @ [eft,lft] intervals: state-class analysis",
@@ -972,6 +958,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the GPO refutation screen (symbolic check only)",
     )
     p_safety.set_defaults(fn=_cmd_safety)
+
+    def add_budget_flags(
+        p: argparse.ArgumentParser,
+        *,
+        max_states: int = 200_000,
+        max_seconds: float | None = 120.0,
+    ) -> None:
+        # max_seconds=None: the command takes a state bound only.
+        p.add_argument("--max-states", type=int, default=max_states)
+        if max_seconds is not None:
+            p.add_argument("--max-seconds", type=float, default=max_seconds)
 
     def add_engine_flags(p: argparse.ArgumentParser, *, jobs: int) -> None:
         p.add_argument(
@@ -1033,8 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         help=f"comma list (default {','.join(DEFAULT_PORTFOLIO)})",
     )
-    p_race.add_argument("--max-states", type=int, default=200_000)
-    p_race.add_argument("--max-seconds", type=float, default=120.0)
+    add_budget_flags(p_race)
     p_race.add_argument(
         "--property",
         default=None,
@@ -1076,16 +1072,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the structural (P-invariant / siphon-trap) fast path",
     )
-    p_query.add_argument("--max-states", type=int, default=200_000)
-    p_query.add_argument("--max-seconds", type=float, default=120.0)
+    add_budget_flags(p_query)
     add_engine_flags(p_query, jobs=1)
     add_reduce_flag(p_query)
     p_query.set_defaults(fn=_cmd_query)
 
     p_table = sub.add_parser("table1", help="regenerate Table 1")
     p_table.add_argument("--problems", help="comma list, e.g. NSDP,RW")
-    p_table.add_argument("--max-states", type=int, default=200_000)
-    p_table.add_argument("--max-seconds", type=float, default=120.0)
+    add_budget_flags(p_table)
     p_table.add_argument("--no-paper", action="store_true")
     p_table.add_argument(
         "--stats",
@@ -1119,8 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--analyzer", choices=PROFILE_ANALYZERS, default="gpo"
     )
-    p_profile.add_argument("--max-states", type=int, default=200_000)
-    p_profile.add_argument("--max-seconds", type=float, default=120.0)
+    add_budget_flags(p_profile)
     p_profile.add_argument(
         "--memory",
         action="store_true",
@@ -1152,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="diagnose a net file")
     p_check.add_argument("file")
-    p_check.add_argument("--max-states", type=int, default=100_000)
+    add_budget_flags(p_check, max_states=100_000, max_seconds=None)
     p_check.add_argument(
         "--shards",
         type=int,
@@ -1245,7 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot = sub.add_parser("dot", help="export DOT for a net (or its RG)")
     p_dot.add_argument("file")
     p_dot.add_argument("--rg", action="store_true")
-    p_dot.add_argument("--max-states", type=int, default=5_000)
+    add_budget_flags(p_dot, max_states=5_000, max_seconds=None)
     p_dot.set_defaults(fn=_cmd_dot)
 
     p_bench = sub.add_parser(
@@ -1253,8 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("name", help="NSDP | ASAT | OVER | RW")
     p_bench.add_argument("size", type=int)
-    p_bench.add_argument("--max-states", type=int, default=200_000)
-    p_bench.add_argument("--max-seconds", type=float, default=120.0)
+    add_budget_flags(p_bench)
     p_bench.add_argument(
         "--portfolio",
         action="store_true",
@@ -1457,8 +1449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reduction preserves deadlocks only, not reachability",
     )
     p_reach.add_argument("--order", choices=("bfs", "dfs"), default="bfs")
-    p_reach.add_argument("--max-states", type=int, default=200_000)
-    p_reach.add_argument("--max-seconds", type=float, default=120.0)
+    add_budget_flags(p_reach)
     add_reduce_flag(p_reach)
     p_reach.set_defaults(fn=_cmd_reach)
     return parser

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reachability import explore
-from repro.gpo import Gpn, GpoOptions, explore_gpo, mapping_named
+from repro.gpo import Gpn, explore_gpo, mapping_named
 from repro.gpo.semantics import enabled_families, multiple_fire, single_fire
 from repro.harness.report import format_table
 from repro.models import concurrent_net, conflict_pairs_net, figure3_net
@@ -90,14 +90,14 @@ def format_series(rows: list[FigureRow], *, title: str) -> str:
     )
 
 
-def figure3_walkthrough(*, backend: str = "explicit") -> str:
+def figure3_walkthrough() -> str:
     """Narrate the Figure 3 walkthrough and check the paper's statements.
 
     Returns a human-readable transcript; raises ``AssertionError`` if any
     of the paper's claims fails (the unit tests call this too).
     """
     net = figure3_net()
-    gpn = Gpn(net, backend=backend)  # type: ignore[arg-type]
+    gpn = Gpn(net)
     state = gpn.initial_state()
     lines = [f"net: {net.name}; scenarios r0 = {gpn.r0.count()}"]
 

@@ -17,10 +17,9 @@ sequence of **level barriers**:
 
 Why the counts stay exact: ownership is a pure function of the marking,
 so every reachable state is absorbed — and later expanded — by exactly
-one shard; the successor rule is a pure function of the marking (full
-semantics, or the deterministic stubborn fired-set choice); and the
-barrier makes every message's content a function of the level's frontier
-*sets*, never of worker timing.  Aggregate state/edge/deadlock counts
+one shard; the successor rule (full interleaving semantics) is a pure
+function of the marking; and the barrier makes every message's content a
+function of the level's frontier *sets*, never of worker timing.  Aggregate state/edge/deadlock counts
 therefore equal the sequential explorer's for any shard count and any
 scheduling — the determinism suite holds sharded runs to that.
 
@@ -34,8 +33,8 @@ store up to one level beyond ``max_states`` (documented, unlike the
 scalar driver's exact cap).
 
 ``analyze_parallel`` packages the aggregate as an
-``AnalysisResult(analyzer="parallel")``.  Like the stubborn reduction it
-answers the deadlock question only (its :mod:`repro.props.compat` entry);
+``AnalysisResult(analyzer="parallel")``.  It answers the deadlock
+question only (its :mod:`repro.props.compat` entry);
 it reports no witness — the point is raw throughput on big instances,
 and a witness needs the edge structure the shards deliberately do not
 retain.
@@ -46,7 +45,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
 from repro.analysis.stats import AnalysisResult, stopwatch
@@ -69,7 +68,6 @@ from repro.props.compat import unsupported_reason
 from repro.props.eval import engine_property, needs_decomposition, run_property
 from repro.search.core import abort_note
 from repro.search.limits import Deadline
-from repro.stubborn.stubborn import _enabled_part
 
 __all__ = [
     "ParallelOutcome",
@@ -95,9 +93,6 @@ class _LevelStats:
     exchanged: int = 0
     stalled: int = 0
     rows: int = 0
-    closure_iterations: int = 0
-    enabled_total: int = 0
-    fired_total: int = 0
 
     def as_tuple(self) -> Tuple[int, ...]:
         return (
@@ -108,9 +103,6 @@ class _LevelStats:
             self.exchanged,
             self.stalled,
             self.rows,
-            self.closure_iterations,
-            self.enabled_total,
-            self.fired_total,
         )
 
     @classmethod
@@ -131,19 +123,13 @@ class _ShardCore:
         shard: int,
         shards: int,
         *,
-        inner: str,
         batch: bool,
     ) -> None:
         self.kernel = kernel
         self.shard = shard
         self.shards = shards
-        self.inner = inner
         self.words = words_of(kernel.num_places)
-        # Batched expansion implements the full semantics only; stubborn
-        # shards always expand with the scalar closure.
-        self.batched = (
-            BatchedKernel(kernel) if batch and inner == "full" else None
-        )
+        self.batched = BatchedKernel(kernel) if batch else None
         self.visited: set[int] = set()
         self.frontier: List[int] = []
         self.states = 0
@@ -206,35 +192,21 @@ class _ShardCore:
         kernel = self.kernel
         words = self.words
         shards = self.shards
-        stubborn = self.inner == "stubborn"
-        closure_base = kernel.stat_closure_iterations
         for bits in frontier:
             mask = kernel.enabled_mask(bits)
             if not mask:
                 stats.deadlocks += 1
                 continue
-            if stubborn:
-                stats.enabled_total += mask.bit_count()
-                to_fire = _enabled_part(kernel, bits, mask)
-                stats.fired_total += len(to_fire)
-            else:
-                to_fire = []
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    to_fire.append(low.bit_length() - 1)
-                    rest ^= low
-            for t in to_fire:
-                successor = kernel.fire_enabled(t, bits)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                successor = kernel.fire_enabled(low.bit_length() - 1, bits)
                 stats.edges += 1
                 dest = state_key(successor, words) % shards
                 seen = outbox_seen[dest]
                 if successor not in seen:
                     seen.add(successor)
                     outboxes[dest].append(successor)
-        stats.closure_iterations = (
-            kernel.stat_closure_iterations - closure_base
-        )
 
     def _expand_batched(
         self,
@@ -281,9 +253,6 @@ class ParallelOutcome:
     batch: bool = False
     batch_rows_total: int = 0
     batch_levels: int = 0
-    closure_iterations: int = 0
-    enabled_total: int = 0
-    fired_total: int = 0
     workers: str = "inline"
 
     @property
@@ -293,9 +262,7 @@ class ParallelOutcome:
         return self.edges / self.expanded
 
 
-def _resolve_batch(batch: Any, inner: str) -> bool:
-    if inner != "full":
-        return False
+def _resolve_batch(batch: Any) -> bool:
     if batch == "auto":
         return HAVE_NUMPY
     if batch and not HAVE_NUMPY:
@@ -328,7 +295,6 @@ def explore_parallel(
     net: PetriNet,
     *,
     shards: int = 2,
-    inner: str = "full",
     batch: Any = "auto",
     workers: Any = "auto",
     max_states: int | None = None,
@@ -336,17 +302,13 @@ def explore_parallel(
 ) -> ParallelOutcome:
     """Run the sharded level-synchronized BFS and return aggregate counts.
 
-    ``inner`` selects the successor rule: ``"full"`` (every enabled
-    transition) or ``"stubborn"`` (the deterministic stubborn fired
-    set — same reduced graph as the sequential stubborn explorer).
+    Every enabled transition fires (full interleaving semantics).
     ``batch`` is ``"auto"`` (numpy when available), ``True`` or
     ``False``; ``workers`` is ``"auto"``, ``"inline"`` or ``"fork"``.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if inner not in ("full", "stubborn"):
-        raise ValueError(f"unknown inner semantics {inner!r}")
-    use_batch = _resolve_batch(batch, inner)
+    use_batch = _resolve_batch(batch)
     mode = _resolve_workers(workers, shards)
     kernel = net.kernel()
     words = words_of(kernel.num_places)
@@ -362,10 +324,10 @@ def explore_parallel(
 
     if mode == "fork":
         runner: _InlineRunner | _ForkRunner = _ForkRunner(
-            net, shards, inner=inner, batch=use_batch
+            net, shards, batch=use_batch
         )
     else:
-        runner = _InlineRunner(kernel, shards, inner=inner, batch=use_batch)
+        runner = _InlineRunner(kernel, shards, batch=use_batch)
     try:
         while any(pending):
             if deadline is not None and deadline.expired():
@@ -391,9 +353,6 @@ def explore_parallel(
                 outcome.deadlocks += stats.deadlocks
                 outcome.exchange_volume += stats.exchanged
                 outcome.exchange_stalls += stats.stalled
-                outcome.closure_iterations += stats.closure_iterations
-                outcome.enabled_total += stats.enabled_total
-                outcome.fired_total += stats.fired_total
                 level_frontier += stats.absorbed
                 if stats.rows:
                     outcome.batch_rows_total += stats.rows
@@ -419,11 +378,10 @@ class _InlineRunner:
         kernel: MarkingKernel,
         shards: int,
         *,
-        inner: str,
         batch: bool,
     ) -> None:
         self.cores = [
-            _ShardCore(kernel, s, shards, inner=inner, batch=batch)
+            _ShardCore(kernel, s, shards, batch=batch)
             for s in range(shards)
         ]
 
@@ -450,7 +408,6 @@ def _shard_worker(
     net: PetriNet,
     shard: int,
     shards: int,
-    inner: str,
     batch: bool,
     trace_ctx: TraceContext | None = None,
 ) -> None:
@@ -466,7 +423,7 @@ def _shard_worker(
     tracer.child_reset()
     if trace_ctx is not None:
         set_context(trace_ctx)
-    core = _ShardCore(net.kernel(), shard, shards, inner=inner, batch=batch)
+    core = _ShardCore(net.kernel(), shard, shards, batch=batch)
     try:
         while True:
             msg = conn.recv()
@@ -492,7 +449,6 @@ class _ForkRunner:
         net: PetriNet,
         shards: int,
         *,
-        inner: str,
         batch: bool,
     ) -> None:
         ctx = multiprocessing.get_context("fork")
@@ -513,7 +469,7 @@ class _ForkRunner:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker,
-                args=(child, net, shard, shards, inner, batch, trace_ctx),
+                args=(child, net, shard, shards, batch, trace_ctx),
                 daemon=True,
             )
             proc.start()
@@ -574,7 +530,6 @@ def analyze_parallel(
     net: PetriNet,
     *,
     shards: int = 2,
-    inner: str = "full",
     batch: Any = "auto",
     workers: Any = "auto",
     max_states: int | None = None,
@@ -584,8 +539,8 @@ def analyze_parallel(
 ) -> AnalysisResult:
     """Sharded analysis packaged as an :class:`AnalysisResult`.
 
-    Answers the deadlock question only (like the stubborn reduction —
-    see its :mod:`repro.props.compat` entry) and reports no witness:
+    Answers the deadlock question only (see its :mod:`repro.props.compat`
+    entry) and reports no witness:
     the shards keep visited *sets*, not the edge structure a witness
     path needs (``want_witness`` is accepted for signature uniformity).
     """
@@ -596,7 +551,6 @@ def analyze_parallel(
             lambda leaf: analyze_parallel(
                 net,
                 shards=shards,
-                inner=inner,
                 batch=batch,
                 workers=workers,
                 max_states=max_states,
@@ -630,7 +584,6 @@ def analyze_parallel(
             outcome = explore_parallel(
                 net,
                 shards=shards,
-                inner=inner,
                 batch=batch,
                 workers=workers,
                 max_states=max_states,
@@ -648,7 +601,6 @@ def analyze_parallel(
             names.SHARDS: shards,
             names.SHARD_EXCHANGE_VOLUME: outcome.exchange_volume,
             names.SHARD_EXCHANGE_STALLS: outcome.exchange_stalls,
-            "inner": inner,
             "workers": outcome.workers,
             "levels": outcome.levels,
             "shard_states": list(outcome.shard_states),
@@ -658,14 +610,6 @@ def analyze_parallel(
             extras[names.BATCH_LEVEL_WIDTH] = round(
                 outcome.batch_rows_total / outcome.batch_levels, 3
             )
-        if inner == "stubborn":
-            extras[names.STUBBORN_CLOSURE_ITERATIONS] = (
-                outcome.closure_iterations
-            )
-            if outcome.enabled_total:
-                extras[names.STUBBORN_RATIO] = round(
-                    outcome.fired_total / outcome.enabled_total, 3
-                )
         note = abort_note(
             outcome.stop_reason,
             max_states=max_states,

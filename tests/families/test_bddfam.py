@@ -1,4 +1,4 @@
-"""Unit tests for the BDD-backed set-family backend."""
+"""Unit tests for the BDD-backed scenario families."""
 
 import pytest
 
@@ -43,6 +43,15 @@ class TestAlgebra:
             {frozenset({0})}
         )
 
+    def test_union_all_intersect_all(self, ctx):
+        families = [fam(ctx, {0}), fam(ctx, {1}), fam(ctx, {0})]
+        assert ctx.union_all(families).count() == 2
+        assert ctx.union_all([]).is_empty()
+        common = [fam(ctx, {0}, {1}), fam(ctx, {1}, {2})]
+        assert ctx.intersect_all(common) == fam(ctx, {1})
+        with pytest.raises(ValueError):
+            ctx.intersect_all([])
+
     def test_filter_contains(self, ctx):
         family = fam(ctx, {0, 1}, {1, 2}, {3})
         filtered = family.filter_contains(1)
@@ -86,7 +95,7 @@ class TestQueries:
 
 class TestMaximalIndependentSets:
     def test_matches_explicit_backend(self):
-        from repro.families import ExplicitContext
+        from tests.oracle import ExplicitContext
 
         adjacency = [{1, 2}, {0}, {0, 3}, {2}, set()]
         bdd_ctx = BddContext(5)

@@ -1,13 +1,16 @@
-"""Property tests: the explicit and BDD family backends are equivalent.
+"""Property tests: BDD families agree with the frozenset family oracle.
 
-Random sequences of family operations are executed against both backends
-in lock-step; after every step the materialized set families must agree.
+Random sequences of family operations are executed on
+:class:`~repro.families.BddFamily` and on the test-only
+:class:`~tests.oracle.ExplicitFamily` in lock-step; after every step the
+materialized set families must agree.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.families import BddContext, ExplicitContext
+from repro.families import BddContext
+from tests.oracle import ExplicitContext
 
 UNIVERSE = 5
 
@@ -36,6 +39,19 @@ def test_binary_ops_agree(left, right):
         assert exp_result.as_frozensets() == bdd_result.as_frozensets(), op
         assert exp_result.count() == bdd_result.count(), op
         assert exp_result.is_empty() == bdd_result.is_empty(), op
+
+
+@given(raw=st.lists(families_raw(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_nary_ops_agree(raw):
+    exp_ctx = ExplicitContext(UNIVERSE)
+    bdd_ctx = BddContext(UNIVERSE)
+    exp = [exp_ctx.from_sets(f) for f in raw]
+    bdd = [bdd_ctx.from_sets(f) for f in raw]
+    for op in ("union_all", "intersect_all"):
+        exp_result = getattr(exp_ctx, op)(exp)
+        bdd_result = getattr(bdd_ctx, op)(bdd)
+        assert exp_result.as_frozensets() == bdd_result.as_frozensets(), op
 
 
 @given(family=families_raw(), t=st.integers(min_value=0, max_value=UNIVERSE - 1))

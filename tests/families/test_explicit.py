@@ -1,8 +1,8 @@
-"""Unit tests for the explicit set-family backend."""
+"""Unit tests for the frozenset family oracle in ``tests/oracle.py``."""
 
 import pytest
 
-from repro.families import ExplicitContext
+from tests.oracle import ExplicitContext
 
 
 @pytest.fixture

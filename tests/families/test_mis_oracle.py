@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.families import BddContext, ExplicitContext
+from repro.families import BddContext
 from repro.harness.table1 import DEFAULT_SIZES, PROBLEMS
 from repro.net.structure import StructuralInfo
+from tests.oracle import ExplicitContext
 
 
 def global_clause_mis(ctx: BddContext, adjacency) -> int:

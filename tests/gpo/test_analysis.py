@@ -17,6 +17,10 @@ from repro.models import (
 from repro.obs import names
 from repro.obs.summary import build_summary
 from repro.obs.tracer import Tracer, activate
+from tests.oracle import oracle_explore_gpo
+
+#: Family representation -> GPO explorer.
+EXPLORERS = {"explicit": oracle_explore_gpo, "bdd": explore_gpo}
 
 
 class TestHeadlineClaims:
@@ -58,9 +62,8 @@ class TestVerdicts:
         ],
     )
     def test_deadlock_verdicts(self, make, expected):
-        for backend in ("explicit", "bdd"):
-            result = analyze(make(), backend=backend)
-            assert result.deadlock == expected, backend
+        assert analyze(make()).deadlock == expected
+        assert oracle_explore_gpo(make()).has_deadlock == expected
 
     def test_live_cycle(self, loop_net):
         result = analyze(loop_net)
@@ -75,9 +78,9 @@ class TestVerdicts:
         assert net.is_deadlocked(marking)
 
     def test_extras(self):
-        result = analyze(conflict_pairs_net(4), backend="bdd")
+        result = analyze(conflict_pairs_net(4))
         assert result.extras["scenarios"] == 16
-        assert result.extras["backend"] == "bdd"
+        assert "backend" not in result.extras
         assert result.extras["deadlock_states"] >= 1
 
 
@@ -99,11 +102,6 @@ class TestOptions:
                 asat(4),
                 GpoOptions(max_states=2),
             )
-
-    def test_validate_mode_passes_on_benchmarks(self):
-        for make in (lambda: nsdp(3), lambda: rw(3), lambda: over(2)):
-            result = explore_gpo(make(), GpoOptions(validate=True))
-            assert result.graph.num_states >= 1
 
     def test_witnesses_limit(self):
         result = explore_gpo(
@@ -145,7 +143,7 @@ class TestSoundnessRegressions:
     trans c1_t3 : c1_s3 -> res0 c1_s0
     """
 
-    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    @pytest.mark.parametrize("backend", sorted(EXPLORERS, reverse=True))
     def test_reentrant_conflict_deadlock_found(self, backend):
         from repro.analysis import explore
         from repro.net import parse_net
@@ -153,17 +151,15 @@ class TestSoundnessRegressions:
         net = parse_net(self.REENTRANT_CONFLICT)
         full = explore(net)
         assert full.deadlocks, "the regression net must deadlock classically"
-        result = explore_gpo(
-            net, GpoOptions(backend=backend, validate=True)
-        )
+        result = EXPLORERS[backend](net)
         assert result.has_deadlock
 
-    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    @pytest.mark.parametrize("backend", sorted(EXPLORERS, reverse=True))
     def test_reentrant_conflict_witness_is_real(self, backend):
         from repro.net import parse_net
 
         net = parse_net(self.REENTRANT_CONFLICT)
-        result = explore_gpo(net, GpoOptions(backend=backend))
+        result = EXPLORERS[backend](net)
         witness = result.witnesses(limit=1)[0]
         marking = net.marking_from_names(witness.marking)
         assert net.is_deadlocked(marking)

@@ -22,7 +22,7 @@ def names(gpn, component):
 
 class TestCandidateMcs:
     def test_conflict_pairs_all_candidates(self):
-        gpn = Gpn(conflict_pairs_net(3), backend="explicit")
+        gpn = Gpn(conflict_pairs_net(3))
         _, multiple = enabled_families(gpn, gpn.initial_state())
         candidates = candidate_mcs(gpn, multiple)
         assert {names(gpn, c) for c in candidates} == {
@@ -32,7 +32,7 @@ class TestCandidateMcs:
         }
 
     def test_independent_transitions_singletons(self):
-        gpn = Gpn(concurrent_net(3), backend="explicit")
+        gpn = Gpn(concurrent_net(3))
         _, multiple = enabled_families(gpn, gpn.initial_state())
         candidates = candidate_mcs(gpn, multiple)
         assert all(len(c) == 1 for c in candidates)
@@ -40,7 +40,7 @@ class TestCandidateMcs:
 
     def test_partition_property(self):
         # Candidates partition the multiple-enabled transitions.
-        gpn = Gpn(nsdp(3), backend="bdd")
+        gpn = Gpn(nsdp(3))
         _, multiple = enabled_families(gpn, gpn.initial_state())
         candidates = candidate_mcs(gpn, multiple)
         union = set().union(*candidates) if candidates else set()
@@ -52,7 +52,7 @@ class TestCandidateMcs:
         # NSDP initially: only the first-fork grabs are enabled, yet they
         # form candidates even though their *full* conflict component also
         # contains the (disabled) second-fork grabs.
-        gpn = Gpn(nsdp(2), backend="explicit")
+        gpn = Gpn(nsdp(2))
         single, multiple = enabled_families(gpn, gpn.initial_state())
         candidates = candidate_mcs(gpn, multiple)
         assert candidates, "NSDP must have candidates initially"
@@ -66,7 +66,7 @@ class TestCandidateMcs:
         )
 
     def test_no_candidates_in_dead_state(self):
-        gpn = Gpn(choice_net(), backend="explicit")
+        gpn = Gpn(choice_net())
         state = multiple_fire(gpn, gpn.initial_state(), frozenset([0, 1]))
         _, multiple = enabled_families(gpn, state)
         assert candidate_mcs(gpn, multiple) == []
@@ -74,7 +74,7 @@ class TestCandidateMcs:
 
 class TestSingleEnabledMcs:
     def test_fully_enabled_component_found(self):
-        gpn = Gpn(choice_net(), backend="explicit")
+        gpn = Gpn(choice_net())
         single, _ = enabled_families(gpn, gpn.initial_state())
         component = single_enabled_mcs(gpn, single)
         assert component is not None
@@ -83,7 +83,7 @@ class TestSingleEnabledMcs:
     def test_partially_enabled_component_skipped(self):
         # Figure 3 after {A,B}: C is single-enabled but D is not, so the
         # full component {C,D} is not eligible.
-        gpn = Gpn(figure3_net(), backend="explicit")
+        gpn = Gpn(figure3_net())
         a = gpn.net.transition_id("A")
         b = gpn.net.transition_id("B")
         state = multiple_fire(gpn, gpn.initial_state(), frozenset([a, b]))
@@ -103,7 +103,7 @@ class TestSingleEnabledMcs:
         builder.transition("z", inputs=["big"], outputs=["o3"])
         builder.transition("s", inputs=["small"], outputs=["o4"])
         builder.transition("t", inputs=["small"], outputs=["o5"])
-        gpn = Gpn(builder.build(), backend="explicit")
+        gpn = Gpn(builder.build())
         single, _ = enabled_families(gpn, gpn.initial_state())
         component = single_enabled_mcs(gpn, single)
         assert component is not None

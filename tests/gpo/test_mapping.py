@@ -7,12 +7,12 @@ from repro.models import choice_net, conflict_pairs_net, figure7_net
 class TestInitialState:
     def test_initial_maps_to_m0(self):
         net = conflict_pairs_net(3)
-        gpn = Gpn(net, backend="explicit")
+        gpn = Gpn(net)
         assert mapping(gpn, gpn.initial_state()) == {net.initial_marking}
 
     def test_scenario_marking_matches_membership(self):
         net = choice_net()
-        gpn = Gpn(net, backend="explicit")
+        gpn = Gpn(net)
         state = gpn.initial_state()
         for scenario in state.valid.iter_sets():
             marking = scenario_marking(gpn, state, scenario)
@@ -22,7 +22,7 @@ class TestInitialState:
 class TestAfterFiring:
     def test_choice_covers_both_branches(self):
         net = choice_net()
-        gpn = Gpn(net, backend="explicit")
+        gpn = Gpn(net)
         after = multiple_fire(gpn, gpn.initial_state(), frozenset([0, 1]))
         assert mapping_named(gpn, after) == {
             frozenset({"p1"}),
@@ -33,14 +33,14 @@ class TestAfterFiring:
         # One multiple firing of n conflict pairs covers 2^n markings.
         n = 6
         net = conflict_pairs_net(n)
-        gpn = Gpn(net, backend="bdd")
+        gpn = Gpn(net)
         fired = frozenset(range(net.num_transitions))
         after = multiple_fire(gpn, gpn.initial_state(), fired)
         assert len(mapping(gpn, after)) == 2**n
 
     def test_limit_parameter(self):
         net = conflict_pairs_net(5)
-        gpn = Gpn(net, backend="bdd")
+        gpn = Gpn(net)
         fired = frozenset(range(net.num_transitions))
         after = multiple_fire(gpn, gpn.initial_state(), fired)
         assert len(mapping(gpn, after, limit=3)) <= 3
@@ -51,7 +51,7 @@ class TestConsistencyWithClassical:
         from repro.analysis import reachable_markings
 
         net = figure7_net()
-        gpn = Gpn(net, backend="explicit")
+        gpn = Gpn(net)
         reachable = reachable_markings(net)
         state = gpn.initial_state()
         a, b = net.transition_id("A"), net.transition_id("B")

@@ -9,7 +9,9 @@ The soundness theorem this reproduction rests on, checked empirically:
 * **witness validity** — every reported dead scenario maps to a genuinely
   deadlocked, reachable classical marking;
 * **firing consistency** (Defs. 3.3/3.6 vs Def. 2.4) — single firing
-  commutes with classical firing through the Def. 3.4 mapping.
+  commutes with classical firing through the Def. 3.4 mapping;
+* **representation independence** — the BDD families explore the same
+  GPN graph as the frozenset family oracle of ``tests/oracle.py``.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +30,7 @@ from repro.gpo import (
 from repro.net.exceptions import UnsafeNetError
 
 from tests.conftest import safe_nets, state_machine_nets
+from tests.oracle import oracle_explore_gpo
 
 COMMON = dict(
     max_examples=40,
@@ -48,10 +51,10 @@ def _full_or_none(net, max_states=3000):
         return None
 
 
-def _gpo_or_none(net, **kwargs):
+def _gpo_or_none(net, *, explore=explore_gpo, **kwargs):
     kwargs.setdefault("max_states", GPN_BUDGET)
     try:
-        return explore_gpo(net, GpoOptions(**kwargs))
+        return explore(net, GpoOptions(**kwargs))
     except ExplorationLimitReached:
         return None
 
@@ -62,7 +65,7 @@ def test_verdict_matches_full_on_random_nets(net):
     full = _full_or_none(net)
     if full is None:
         return
-    result = _gpo_or_none(net, backend="explicit", validate=True)
+    result = _gpo_or_none(net)
     if result is None:
         return
     assert result.has_deadlock == bool(full.deadlocks)
@@ -72,7 +75,7 @@ def test_verdict_matches_full_on_random_nets(net):
 @settings(**COMMON)
 def test_verdict_matches_full_on_state_machines(net):
     full = explore(net, max_states=5000)
-    result = _gpo_or_none(net, backend="bdd")
+    result = _gpo_or_none(net)
     if result is None:
         return
     assert result.has_deadlock == bool(full.deadlocks)
@@ -85,7 +88,7 @@ def test_mapping_soundness(net):
     if full is None:
         return
     reachable = set(full.states())
-    result = _gpo_or_none(net, backend="explicit", on_deadlock="continue")
+    result = _gpo_or_none(net, on_deadlock="continue")
     if result is None:
         return
     for state in result.graph.states():
@@ -99,7 +102,7 @@ def test_witnesses_are_real_deadlocks(net):
     if full is None:
         return
     reachable = set(full.states())
-    result = _gpo_or_none(net, backend="explicit", on_deadlock="continue")
+    result = _gpo_or_none(net, on_deadlock="continue")
     if result is None:
         return
     for state, dead in result.deadlock_states:
@@ -120,7 +123,7 @@ def test_single_firing_consistency(net):
     """
     if _full_or_none(net, max_states=200) is None:
         return
-    gpn = Gpn(net, backend="explicit")
+    gpn = Gpn(net)
     state = gpn.initial_state()
     for t in range(net.num_transitions):
         enabled_family = s_enabled(gpn, state, t)
@@ -140,9 +143,20 @@ def test_single_firing_consistency(net):
 @given(net=state_machine_nets())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_backends_agree(net):
-    explicit = _gpo_or_none(net, backend="explicit")
-    bdd = _gpo_or_none(net, backend="bdd")
+    explicit = _gpo_or_none(net, explore=oracle_explore_gpo)
+    bdd = _gpo_or_none(net)
     if explicit is None or bdd is None:
         return
     assert explicit.has_deadlock == bdd.has_deadlock
     assert explicit.graph.num_states == bdd.graph.num_states
+    # Same graph, state by state in discovery order: covered markings,
+    # edge labels, and the dead scenarios of every failing state.
+    assert [mapping(explicit.gpn, s) for s in explicit.graph.states()] == [
+        mapping(bdd.gpn, s) for s in bdd.graph.states()
+    ]
+    assert [label for _, label, _ in explicit.graph.edges()] == [
+        label for _, label, _ in bdd.graph.edges()
+    ]
+    assert [dead.as_frozensets() for _, dead in explicit.deadlock_states] == [
+        dead.as_frozensets() for _, dead in bdd.deadlock_states
+    ]

@@ -3,7 +3,8 @@
 Every figure of Section 3 is encoded and its statements asserted
 *literally*: the enabling families, the firing effects, the ``r`` updates
 (including Fig. 7's extended conflict ``r2 = {{A,C},{B,D}}``), and the
-classical-marking mappings.  Each test runs on both family backends.
+classical-marking mappings.  Each test runs twice: on the production BDD
+families and on the frozenset family oracle of ``tests/oracle.py``.
 """
 
 import pytest
@@ -20,8 +21,10 @@ from repro.gpo import (
     single_fire,
 )
 from repro.models import figure3_net, figure5_net, figure7_net
+from tests.oracle import oracle_gpn
 
-BACKENDS = ["explicit", "bdd"]
+#: Family representation -> GPN constructor.
+BACKENDS = {"explicit": oracle_gpn, "bdd": Gpn}
 
 
 def sets_named(gpn, family):
@@ -40,9 +43,9 @@ def family_from_names(gpn, *name_sets):
     return gpn.ctx.from_sets(ids)
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
+@pytest.fixture(params=sorted(BACKENDS, reverse=True))
+def make_gpn(request):
+    return BACKENDS[request.param]
 
 
 class TestFigure5:
@@ -58,31 +61,31 @@ class TestFigure5:
         marking[net.place_id("p2")] = family_from_names(gpn, {"B"})
         return GpnState(tuple(marking), gpn.r0)
 
-    def test_r0_is_the_papers_r(self, backend):
-        gpn = Gpn(figure5_net(), backend=backend)
+    def test_r0_is_the_papers_r(self, make_gpn):
+        gpn = make_gpn(figure5_net())
         assert sets_named(gpn, gpn.r0) == {
             frozenset({"A"}),
             frozenset({"B"}),
         }
 
-    def test_single_enabling(self, backend):
-        gpn = Gpn(figure5_net(), backend=backend)
+    def test_single_enabling(self, make_gpn):
+        gpn = make_gpn(figure5_net())
         state = self.make_state(gpn)
         a = gpn.net.transition_id("A")
         b = gpn.net.transition_id("B")
         assert sets_named(gpn, s_enabled(gpn, state, a)) == {frozenset({"A"})}
         assert s_enabled(gpn, state, b).is_empty()
 
-    def test_mapping_before_firing(self, backend):
-        gpn = Gpn(figure5_net(), backend=backend)
+    def test_mapping_before_firing(self, make_gpn):
+        gpn = make_gpn(figure5_net())
         state = self.make_state(gpn)
         assert mapping_named(gpn, state) == {
             frozenset({"p0", "p1"}),
             frozenset({"p0", "p2"}),
         }
 
-    def test_single_fire_moves_common_history(self, backend):
-        gpn = Gpn(figure5_net(), backend=backend)
+    def test_single_fire_moves_common_history(self, make_gpn):
+        gpn = make_gpn(figure5_net())
         state = self.make_state(gpn)
         a = gpn.net.transition_id("A")
         after = single_fire(gpn, state, a)
@@ -97,9 +100,9 @@ class TestFigure5:
         # r unchanged by single firing (Def. 3.3)
         assert after.valid == state.valid
 
-    def test_mapping_after_firing(self, backend):
+    def test_mapping_after_firing(self, make_gpn):
         # The paper: mapping(m', r) = {{p3}, {p0, p2}}.
-        gpn = Gpn(figure5_net(), backend=backend)
+        gpn = make_gpn(figure5_net())
         state = self.make_state(gpn)
         after = single_fire(gpn, state, gpn.net.transition_id("A"))
         assert mapping_named(gpn, after) == {
@@ -107,8 +110,8 @@ class TestFigure5:
             frozenset({"p0", "p2"}),
         }
 
-    def test_firing_disabled_raises(self, backend):
-        gpn = Gpn(figure5_net(), backend=backend)
+    def test_firing_disabled_raises(self, make_gpn):
+        gpn = make_gpn(figure5_net())
         state = self.make_state(gpn)
         with pytest.raises(ValueError):
             single_fire(gpn, state, gpn.net.transition_id("B"))
@@ -117,8 +120,8 @@ class TestFigure5:
 class TestFigure7:
     """Multiple firing semantics (Defs. 3.5 and 3.6)."""
 
-    def test_r0(self, backend):
-        gpn = Gpn(figure7_net(), backend=backend)
+    def test_r0(self, make_gpn):
+        gpn = make_gpn(figure7_net())
         assert sets_named(gpn, gpn.r0) == {
             frozenset({"A", "C"}),
             frozenset({"A", "D"}),
@@ -126,9 +129,9 @@ class TestFigure7:
             frozenset({"B", "D"}),
         }
 
-    def test_multiple_enabling_in_initial_state(self, backend):
+    def test_multiple_enabling_in_initial_state(self, make_gpn):
         # m_enabled(A) = {{A,C},{A,D}}, m_enabled(B) = {{B,C},{B,D}}.
-        gpn = Gpn(figure7_net(), backend=backend)
+        gpn = make_gpn(figure7_net())
         state = gpn.initial_state()
         a = gpn.net.transition_id("A")
         b = gpn.net.transition_id("B")
@@ -141,8 +144,8 @@ class TestFigure7:
             frozenset({"B", "D"}),
         }
 
-    def test_initial_mapping_is_m0(self, backend):
-        gpn = Gpn(figure7_net(), backend=backend)
+    def test_initial_mapping_is_m0(self, make_gpn):
+        gpn = make_gpn(figure7_net())
         assert mapping_named(gpn, gpn.initial_state()) == {
             frozenset({"p0", "p3"})
         }
@@ -153,9 +156,9 @@ class TestFigure7:
         b = gpn.net.transition_id("B")
         return multiple_fire(gpn, state, frozenset([a, b]))
 
-    def test_fire_ab(self, backend):
+    def test_fire_ab(self, make_gpn):
         # r1 = r0; mapping(m1) = {{p1,p3},{p2,p3}}.
-        gpn = Gpn(figure7_net(), backend=backend)
+        gpn = make_gpn(figure7_net())
         state1 = self.fire_ab(gpn)
         assert state1.valid == gpn.r0
         assert mapping_named(gpn, state1) == {
@@ -163,9 +166,9 @@ class TestFigure7:
             frozenset({"p2", "p3"}),
         }
 
-    def test_fire_cd_extended_conflict(self, backend):
+    def test_fire_cd_extended_conflict(self, make_gpn):
         # r2 = {{A,C},{B,D}} — the extended conflict between A/D and B/C.
-        gpn = Gpn(figure7_net(), backend=backend)
+        gpn = make_gpn(figure7_net())
         state1 = self.fire_ab(gpn)
         c = gpn.net.transition_id("C")
         d = gpn.net.transition_id("D")
@@ -178,17 +181,17 @@ class TestFigure7:
             mapping_named(gpn, state2) == {frozenset({"p5"})}
         )
 
-    def test_final_state_maps_to_single_marking(self, backend):
+    def test_final_state_maps_to_single_marking(self, make_gpn):
         # The paper: the final state maps to the single marking {p5}.
-        gpn = Gpn(figure7_net(), backend=backend)
+        gpn = make_gpn(figure7_net())
         state1 = self.fire_ab(gpn)
         c = gpn.net.transition_id("C")
         d = gpn.net.transition_id("D")
         state2 = multiple_fire(gpn, state1, frozenset([c, d]))
         assert mapping_named(gpn, state2) == {frozenset({"p5"})}
 
-    def test_multiple_fire_requires_enabled(self, backend):
-        gpn = Gpn(figure7_net(), backend=backend)
+    def test_multiple_fire_requires_enabled(self, make_gpn):
+        gpn = make_gpn(figure7_net())
         state = gpn.initial_state()
         c = gpn.net.transition_id("C")
         with pytest.raises(ValueError):
@@ -198,8 +201,8 @@ class TestFigure7:
 class TestFigure3:
     """The colored-token walkthrough (Section 3.1)."""
 
-    def test_walkthrough(self, backend):
-        gpn = Gpn(figure3_net(), backend=backend)
+    def test_walkthrough(self, make_gpn):
+        gpn = make_gpn(figure3_net())
         net = gpn.net
         state = gpn.initial_state()
         a, b = net.transition_id("A"), net.transition_id("B")
@@ -221,10 +224,10 @@ class TestFigure3:
         state2 = single_fire(gpn, state1, c)
         assert not state2.marking[net.place_id("p5")].is_empty()
 
-    def test_b_branch_is_a_dead_scenario(self, backend):
+    def test_b_branch_is_a_dead_scenario(self, make_gpn):
         # After {A,B}, the B scenarios enable nothing: classical marking
         # {p4} is a deadlock.
-        gpn = Gpn(figure3_net(), backend=backend)
+        gpn = make_gpn(figure3_net())
         net = gpn.net
         a, b = net.transition_id("A"), net.transition_id("B")
         state1 = multiple_fire(

@@ -1,5 +1,7 @@
 """Tests for the figure-series harness: the paper's formulas, literally."""
 
+from pathlib import Path
+
 from repro.harness import (
     figure1_series,
     figure2_series,
@@ -32,7 +34,11 @@ class TestFigure3:
         assert "D blocked" in transcript
 
     def test_walkthrough_bdd_backend(self):
-        assert "state 2" in figure3_walkthrough(backend="bdd")
+        # Recorded on the frozenset family oracle; BDD families must
+        # render the very same transcript.
+        golden = Path(__file__).parent / "goldens" / "figure3.txt"
+        expected = golden.read_text(encoding="utf-8")
+        assert figure3_walkthrough() + "\n" == expected
 
 
 def test_format_series():

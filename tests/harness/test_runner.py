@@ -35,9 +35,9 @@ class TestRunAnalyzer:
 
     def test_extra_kwargs_forwarded(self):
         result = run_analyzer(
-            "gpo", choice_net(), Budget(extra={"backend": "explicit"})
+            "parallel", choice_net(), Budget(extra={"shards": 1})
         )
-        assert result.extras["backend"] == "explicit"
+        assert result.extras["shards"] == 1
 
     def test_unlimited_budget(self):
         result = run_analyzer(

@@ -1,16 +1,28 @@
-"""Frozenset reference semantics, for differential tests only.
+"""Reference semantics, for differential tests only.
 
-Every analyzer runs on the bitmask :class:`~repro.net.kernel.MarkingKernel`.
-The spaces here run the paper's enabling and firing rules (Defs. 2.3–2.4)
-directly on frozenset markings through
-:meth:`~repro.net.petrinet.PetriNet.enabled_transitions` and
-:meth:`~repro.net.petrinet.PetriNet.fire`, so the test-suite can hold the
-kernel explorers to an independent reference: same states in the same
-discovery order, same edges, same deadlocks, same safety verdicts.
+Every analyzer runs on the bitmask :class:`~repro.net.kernel.MarkingKernel`
+and GPO runs on BDD scenario families.  This module keeps independent,
+deliberately plain references to hold them to:
+
+* **Markings.**  The spaces here run the paper's enabling and firing rules
+  (Defs. 2.3–2.4) directly on frozenset markings through
+  :meth:`~repro.net.petrinet.PetriNet.enabled_transitions` and
+  :meth:`~repro.net.petrinet.PetriNet.fire`, so the kernel explorers must
+  match them: same states in the same discovery order, same edges, same
+  deadlocks, same safety verdicts.
+* **Scenario families.**  :class:`ExplicitFamily` stores a family of
+  transition sets as a frozenset of frozensets, with the same duck-typed
+  interface as :class:`~repro.families.bddfam.BddFamily`.
+  :func:`oracle_gpn` builds a GPN over it, so the GPN semantics and the
+  §3.3 explorer can be run on both representations and compared.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator, Sequence
+
+from repro.gpo.analysis import GpnSpace, GpoOptions, GpoResult
+from repro.gpo.gpn import Gpn
 from repro.net.exceptions import UnsafeNetError
 from repro.net.petrinet import Marking, PetriNet
 from repro.net.validation import SafetyCheck
@@ -19,11 +31,15 @@ from repro.search.graph import ReachabilityGraph
 from repro.stubborn.stubborn import stubborn_enabled_mask
 
 __all__ = [
+    "ExplicitContext",
+    "ExplicitFamily",
     "OracleMarkingSpace",
     "OracleStubbornSpace",
     "oracle_check_safe",
     "oracle_explore",
+    "oracle_explore_gpo",
     "oracle_explore_reduced",
+    "oracle_gpn",
 ]
 
 
@@ -127,3 +143,176 @@ def oracle_check_safe(net: PetriNet, *, max_states: int = 100_000) -> SafetyChec
                 seen.add(successor)
                 frontier.append(successor)
     return SafetyCheck(status="safe", states=len(seen))
+
+
+class ExplicitFamily:
+    """A family stored as a frozenset of frozensets of transition ids.
+
+    Exact and transparent; every operation is linear in the number of
+    member sets, which is exponential in the number of conflict clusters,
+    so it only suits small nets.
+    """
+
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: frozenset[frozenset[int]]) -> None:
+        self.sets = sets
+
+    # -- algebra --------------------------------------------------------
+    def intersect(self, other: "ExplicitFamily") -> "ExplicitFamily":
+        return ExplicitFamily(self.sets & other.sets)
+
+    def union(self, other: "ExplicitFamily") -> "ExplicitFamily":
+        return ExplicitFamily(self.sets | other.sets)
+
+    def difference(self, other: "ExplicitFamily") -> "ExplicitFamily":
+        return ExplicitFamily(self.sets - other.sets)
+
+    def filter_contains(self, transition: int) -> "ExplicitFamily":
+        return ExplicitFamily(
+            frozenset(v for v in self.sets if transition in v)
+        )
+
+    # -- queries --------------------------------------------------------
+    def is_empty(self) -> bool:
+        return not self.sets
+
+    def count(self) -> int:
+        return len(self.sets)
+
+    def contains(self, transition_set: frozenset[int]) -> bool:
+        return transition_set in self.sets
+
+    def iter_sets(self, *, limit: int | None = None) -> Iterator[frozenset[int]]:
+        return iter(sorted(self.sets, key=sorted)[:limit])
+
+    def any_set(self) -> frozenset[int] | None:
+        if not self.sets:
+            return None
+        return min(self.sets, key=sorted)
+
+    def is_subset(self, other: "ExplicitFamily") -> bool:
+        return self.sets <= other.sets
+
+    def as_frozensets(self, *, limit: int | None = None) -> frozenset[frozenset[int]]:
+        return frozenset(self.iter_sets(limit=limit))
+
+    # -- value semantics -------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExplicitFamily):
+            return NotImplemented
+        return self.sets == other.sets
+
+    def __hash__(self) -> int:
+        return hash(self.sets)
+
+    def __bool__(self) -> bool:
+        return bool(self.sets)
+
+    def __repr__(self) -> str:
+        rendered = sorted(tuple(sorted(v)) for v in self.sets)
+        return f"ExplicitFamily({rendered})"
+
+
+class ExplicitContext:
+    """Factory for :class:`ExplicitFamily` values over ``0..n-1``."""
+
+    def __init__(self, num_transitions: int) -> None:
+        self.num_transitions = num_transitions
+
+    def empty(self) -> ExplicitFamily:
+        return ExplicitFamily(frozenset())
+
+    def singleton(self, transition_set: frozenset[int]) -> ExplicitFamily:
+        return self.from_sets([transition_set])
+
+    def from_sets(self, sets: Iterable[frozenset[int]]) -> ExplicitFamily:
+        materialized = frozenset(frozenset(v) for v in sets)
+        for v in materialized:
+            for t in v:
+                if not 0 <= t < self.num_transitions:
+                    raise ValueError(
+                        f"transition id {t} outside universe of size "
+                        f"{self.num_transitions}"
+                    )
+        return ExplicitFamily(materialized)
+
+    def union_all(self, families: Iterable[ExplicitFamily]) -> ExplicitFamily:
+        return ExplicitFamily(frozenset().union(*(f.sets for f in families)))
+
+    def intersect_all(self, families: Sequence[ExplicitFamily]) -> ExplicitFamily:
+        if not families:
+            raise ValueError("intersect_all needs at least one family")
+        return ExplicitFamily(
+            frozenset.intersection(*(f.sets for f in families))
+        )
+
+    def maximal_independent_sets(
+        self, adjacency: Sequence[set[int]] | Sequence[frozenset[int]]
+    ) -> ExplicitFamily:
+        """All maximal independent sets, by Bron–Kerbosch with pivoting.
+
+        Maximal independent sets of G are the maximal cliques of G's
+        complement; the recursion tests independence against
+        ``adjacency`` directly instead of materializing the complement.
+        """
+        n = self.num_transitions
+        if len(adjacency) != n:
+            raise ValueError("adjacency size must match the universe")
+        results: list[frozenset[int]] = []
+
+        def expand(current: set[int], candidates: set[int], excluded: set[int]) -> None:
+            if not candidates and not excluded:
+                results.append(frozenset(current))
+                return
+            pivot = max(
+                candidates | excluded,
+                key=lambda v: len(candidates - adjacency[v] - {v}),
+            )
+            # Branch on the pivot and its neighbours only: every maximal
+            # independent set contains one of them.
+            for v in sorted(candidates & (set(adjacency[pivot]) | {pivot})):
+                expand(
+                    current | {v},
+                    {u for u in candidates if u != v and u not in adjacency[v]},
+                    {u for u in excluded if u != v and u not in adjacency[v]},
+                )
+                candidates = candidates - {v}
+                excluded = excluded | {v}
+
+        expand(set(), set(range(n)), set())
+        return ExplicitFamily(frozenset(results))
+
+
+def oracle_gpn(net: PetriNet) -> Gpn:
+    """A GPN whose scenario families are :class:`ExplicitFamily` values.
+
+    Same net, structure and initial state as ``Gpn(net)``; only the family
+    context and ``r0`` are swapped for the frozenset reference.
+    """
+    gpn = Gpn(net)
+    gpn.ctx = ExplicitContext(net.num_transitions)  # type: ignore[assignment]
+    gpn.r0 = gpn.ctx.maximal_independent_sets(gpn.info.adjacency)  # type: ignore[assignment]
+    return gpn
+
+
+def oracle_explore_gpo(
+    net: PetriNet, options: GpoOptions | None = None
+) -> GpoResult:
+    """:func:`repro.gpo.explore_gpo` on an :func:`oracle_gpn`."""
+    if options is None:
+        options = GpoOptions()
+    space = GpnSpace(oracle_gpn(net), options)
+    outcome = explore(
+        space,
+        order="dfs",
+        max_states=options.max_states,
+        max_seconds=options.max_seconds,
+        stop_at_first_deadlock=options.on_deadlock == "stop-all",
+    )
+    raise_if_bounded(
+        outcome,
+        max_states=options.max_states,
+        max_seconds=options.max_seconds,
+    )
+    return GpoResult(space.gpn, outcome.graph, space.deadlock_states)

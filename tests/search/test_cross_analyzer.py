@@ -1,7 +1,8 @@
 """Cross-analyzer agreement on the unified search core.
 
 Full, stubborn and GPO analysis answer the same deadlock question through
-the same driver; over random safe nets they must agree on the verdict,
+the same driver; over random safe nets they must agree on the verdict
+(GPO on its BDD families and on the frozenset family oracle),
 report uniform partial-result semantics, and carry the instrumentation
 counters the core promises.
 """
@@ -9,6 +10,7 @@ counters the core promises.
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis.reachability import analyze as full_analyze
+from repro.gpo.analysis import GpoOptions
 from repro.gpo.analysis import analyze as gpo_analyze
 from repro.models import nsdp
 from repro.stubborn.explorer import analyze as stubborn_analyze
@@ -16,6 +18,7 @@ from repro.timed.reach import analyze as timed_analyze
 from repro.timed.tpn import TimedPetriNet
 
 from ..conftest import state_machine_nets
+from ..oracle import oracle_explore_gpo
 
 _SETTINGS = settings(
     max_examples=25,
@@ -32,10 +35,13 @@ class TestDeadlockVerdictAgreement:
     def test_full_stubborn_gpo_agree(self, net):
         full = full_analyze(net, **_BUDGET)
         stubborn = stubborn_analyze(net, **_BUDGET)
-        gpo = gpo_analyze(net, backend="explicit", **_BUDGET)
+        gpo = gpo_analyze(net, **_BUDGET)
         if not (full.exhaustive and stubborn.exhaustive and gpo.exhaustive):
             return  # bounded runs decide nothing
+        oracle = oracle_explore_gpo(net, GpoOptions(**_BUDGET))
         assert full.deadlock == stubborn.deadlock == gpo.deadlock
+        assert oracle.has_deadlock == gpo.deadlock
+        assert oracle.graph.num_states == gpo.states
 
     @_SETTINGS
     @given(net=state_machine_nets())

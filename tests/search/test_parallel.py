@@ -28,7 +28,6 @@ from repro.search.parallel import (
     explore_parallel,
     shard_of,
 )
-from repro.stubborn.explorer import analyze as stubborn_analyze
 
 from ..conftest import safe_nets
 
@@ -47,7 +46,7 @@ class TestCountInvariance:
     def test_full_semantics_match_sequential(self, net, shards):
         sequential = full_analyze(net, want_witness=False)
         outcome = explore_parallel(
-            net, shards=shards, inner="full", batch=False, workers="inline"
+            net, shards=shards, batch=False, workers="inline"
         )
         assert outcome.exhaustive
         assert outcome.states == sequential.states
@@ -55,18 +54,6 @@ class TestCountInvariance:
         assert (outcome.deadlocks > 0) == sequential.deadlock
         assert len(outcome.shard_states) == shards
         assert sum(outcome.shard_states) == outcome.states
-
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    @pytest.mark.parametrize("net", FAMILIES, ids=lambda n: n.name)
-    def test_stubborn_semantics_match_sequential(self, net, shards):
-        sequential = stubborn_analyze(net, want_witness=False)
-        outcome = explore_parallel(
-            net, shards=shards, inner="stubborn", workers="inline"
-        )
-        assert outcome.exhaustive
-        assert outcome.states == sequential.states
-        assert outcome.edges == sequential.edges
-        assert (outcome.deadlocks > 0) == sequential.deadlock
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     @pytest.mark.parametrize("shards", [1, 2, 4])

@@ -17,8 +17,9 @@ class TestVerify:
         assert verify(choice_net()).analyzer == "gpo"
 
     def test_kwargs_forwarded(self):
-        result = verify(choice_net(), method="gpo", backend="explicit")
-        assert result.extras["backend"] == "explicit"
+        assert verify(choice_net(), method="gpo").witness is not None
+        result = verify(choice_net(), method="gpo", want_witness=False)
+        assert result.deadlock and result.witness is None
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
