@@ -204,16 +204,17 @@ def analyze(
         )
     tracer = current_tracer()
     with tracer.span(names.SPAN_ANALYZE, analyzer="full", net=net.name) as root:
-        # Consult the structural certificate before exploring: when it
-        # holds, UnsafeNetError is provably unreachable during the search.
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = net.static_analysis().safety_certificate.certified
-        observers: tuple[object, ...] = (
-            (TracingObserver(tracer),) if tracer.enabled else ()
-        )
-        if goal is not None:
-            observers = (goal.observer, *observers)
         with stopwatch() as elapsed:
+            # Consult the structural certificate before exploring: when it
+            # holds, UnsafeNetError is provably unreachable during the
+            # search.
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = net.static_analysis().safety_certificate.certified
+            observers: tuple[object, ...] = (
+                (TracingObserver(tracer),) if tracer.enabled else ()
+            )
+            if goal is not None:
+                observers = (goal.observer, *observers)
             outcome = _drive(
                 space,
                 order="bfs",
@@ -221,15 +222,15 @@ def analyze(
                 max_seconds=max_seconds,
                 observers=observers,
             )
-        graph = outcome.graph
-        witness = None
-        if goal is not None:
-            if goal.hit and want_witness:
+            graph = outcome.graph
+            witness = None
+            if goal is not None:
+                if goal.hit and want_witness:
+                    with tracer.span(names.SPAN_WITNESS):
+                        witness = goal.witness(net, graph)
+            elif graph.deadlocks and want_witness:
                 with tracer.span(names.SPAN_WITNESS):
-                    witness = goal.witness(net, graph)
-        elif graph.deadlocks and want_witness:
-            with tracer.span(names.SPAN_WITNESS):
-                witness = extract_witness(net, graph, decode=space.decode)
+                    witness = extract_witness(net, graph, decode=space.decode)
         extras = outcome.stats.as_extras()
         extras.update(space.instrumentation())
         extras[names.SAFETY_CERTIFIED] = certified

@@ -427,24 +427,29 @@ def analyze(
     )
     tracer = current_tracer()
     with tracer.span(names.SPAN_ANALYZE, analyzer="gpo", net=net.name) as root:
-        # Consult the structural certificate before exploring: when it
-        # holds, UnsafeNetError is provably unreachable during the search.
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = net.static_analysis().safety_certificate.certified
         with stopwatch() as elapsed:
+            # Consult the structural certificate before exploring: when it
+            # holds, UnsafeNetError is provably unreachable during the
+            # search.
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = net.static_analysis().safety_certificate.certified
             result, outcome, space = _explore(net, options)
             found = None
             if goal_constraints is not None:
                 found = result.screen(goal_constraints)
-        witness = None
-        if goal_prop is None:
-            with tracer.span(names.SPAN_WITNESS):
-                witnesses = result.witnesses(limit=1) if want_witness else []
-                witness = witnesses[0] if witnesses else None
-        elif found is not None and want_witness:
-            _, state, violating = found
-            with tracer.span(names.SPAN_WITNESS):
-                witness = result.witness(state, violating, label=goal_label)
+            witness = None
+            if goal_prop is None:
+                with tracer.span(names.SPAN_WITNESS):
+                    witnesses = (
+                        result.witnesses(limit=1) if want_witness else []
+                    )
+                    witness = witnesses[0] if witnesses else None
+            elif found is not None and want_witness:
+                _, state, violating = found
+                with tracer.span(names.SPAN_WITNESS):
+                    witness = result.witness(
+                        state, violating, label=goal_label
+                    )
         extras: dict[str, object] = {
             "scenarios": result.gpn.r0.count(),
             "deadlock_states": len(result.deadlock_states),

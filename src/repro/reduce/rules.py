@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Mapping
 
 from repro.net.petrinet import NetBuilder, PetriNet
 from repro.reduce.trace import ReductionStep
+from repro.static.safety import certify_safety
 
 __all__ = [
     "RULES",
@@ -196,7 +197,7 @@ def _invariant_facts(
                 return True
         return False
 
-    bounds = analysis.safety_certificate.bounds
+    bounds = certify_safety(net, basis=basis).bounds
 
     def bound_one(p: str) -> bool:
         i = index.get(p)
@@ -226,8 +227,9 @@ def context_for(
         # An initially token-free siphon can never gain a token: every
         # producer of a siphon place consumes from the siphon (•S ⊆ S•),
         # so with no token inside, none ever enters.  (This is stronger
-        # than ``unmarked_siphons()``, whose Commoner condition flags
-        # siphons that could *drain* — those places are live until then.)
+        # than the Commoner condition of the deadlock pre-check, which
+        # flags siphons that could *drain* — those places are live until
+        # then.)
         analysis = net.static_analysis()
         m0 = net.initial_marking
         for siphon in analysis.siphons.siphons:

@@ -578,9 +578,9 @@ def analyze_parallel(
     with use_context(ctx), tracer.span(
         names.SPAN_ANALYZE, analyzer="parallel", net=net.name
     ) as root:
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = net.static_analysis().safety_certificate.certified
         with stopwatch() as elapsed:
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = net.static_analysis().safety_certificate.certified
             outcome = explore_parallel(
                 net,
                 shards=shards,

@@ -22,7 +22,6 @@ from repro.static.safety import SafetyCertificate, certify_safety
 from repro.static.siphons import (
     SiphonAnalysis,
     deadlock_freedom_precheck,
-    maximal_trap_within,
     minimal_siphons,
     minimal_traps,
 )
@@ -99,11 +98,16 @@ class StaticAnalysis:
 
     @property
     def safety_certificate(self) -> SafetyCertificate:
-        """Structural 1-safeness certificate (may be a failed one)."""
+        """Structural 1-safeness certificate (may be a failed one).
+
+        Searched covering-first, so it builds :attr:`p_invariants` only
+        when the local semiflows cannot cover every place.  Its
+        ``certified`` bit equals the full-basis certificate's unless
+        that basis is capped.  ``gpo lint`` and the reducer read the
+        full-basis certificate instead.
+        """
         if self._certificate is None:
-            self._certificate = certify_safety(
-                self.net, basis=self.p_invariants
-            )
+            self._certificate = certify_safety(self.net)
         return self._certificate
 
     @property
@@ -121,30 +125,6 @@ class StaticAnalysis:
                 self.net, self.siphons
             )
         return self._deadlock_freedom
-
-    def place_bound(self, place: int) -> int | None:
-        """Best invariant-derived structural token bound of one place."""
-        return self.safety_certificate.bounds.get(place)
-
-    def conserved_value(self, index: int) -> int:
-        """Initial value ``y·m0`` of the ``index``-th P-invariant."""
-        return self.p_invariants.invariants[index].value(
-            self.net.initial_marking
-        )
-
-    def unmarked_siphons(self) -> list[frozenset[int]]:
-        """Minimal siphons without an initially marked trap inside.
-
-        These are the structures that *could* eventually empty and cause
-        a dead marking — the places to look at first when debugging a
-        deadlock the dynamic analyzers report.
-        """
-        out: list[frozenset[int]] = []
-        for siphon in self.siphons.siphons:
-            trap = maximal_trap_within(self.net, siphon)
-            if not (trap & self.net.initial_marking):
-                out.append(siphon)
-        return out
 
     def mcs_issues(self) -> list[str]:
         """Cross-check of the MCS machinery (empty = consistent)."""

@@ -257,7 +257,11 @@ def p_invariants(
     weights — ``Σ_p y(p)·C[t][p] = 0`` for every ``t``.
     """
     mat = matrix if matrix is not None else incidence(net)
-    constraints = [list(mat.effect[t]) for t in range(mat.num_transitions)]
+    # Without transitions every weighting is invariant: one all-zero row
+    # makes the elimination return the unit rays instead of nothing.
+    constraints = [
+        list(mat.effect[t]) for t in range(mat.num_transitions)
+    ] or [[0] * mat.num_places]
     rays, capped = farkas(constraints, max_rows=max_rows)
     return InvariantBasis(
         kind="P",

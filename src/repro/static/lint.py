@@ -22,7 +22,7 @@ from typing import Any
 from repro.net.petrinet import PetriNet
 from repro.net.validation import Diagnostics, diagnose
 from repro.static.analysis import StaticAnalysis
-from repro.static.safety import SafetyCertificate
+from repro.static.safety import SafetyCertificate, certify_safety
 
 __all__ = ["LintReport", "lint"]
 
@@ -288,7 +288,7 @@ def lint(
         siphon_count=len(siphons),
         trap_count=len(traps),
         siphons_capped=siphons.capped or traps.capped,
-        certificate=analysis.safety_certificate,
+        certificate=certify_safety(net, basis=p_basis),
         deadlock_precheck=analysis.deadlock_freedom(),
         mcs_issues=tuple(analysis.mcs_issues()),
         reduction=reduction,

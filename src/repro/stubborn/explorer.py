@@ -215,13 +215,14 @@ def analyze(
     with tracer.span(
         names.SPAN_ANALYZE, analyzer="stubborn", net=net.name
     ) as root:
-        space = KernelStubbornSpace(net)
-        # Consult the structural certificate before exploring: when it
-        # holds, UnsafeNetError is provably unreachable during the search.
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = net.static_analysis().safety_certificate.certified
-        observers = (TracingObserver(tracer),) if tracer.enabled else ()
         with stopwatch() as elapsed:
+            space = KernelStubbornSpace(net)
+            # Consult the structural certificate before exploring: when it
+            # holds, UnsafeNetError is provably unreachable during the
+            # search.
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = net.static_analysis().safety_certificate.certified
+            observers = (TracingObserver(tracer),) if tracer.enabled else ()
             outcome = _drive(
                 space,
                 order="bfs",
@@ -229,11 +230,11 @@ def analyze(
                 max_seconds=max_seconds,
                 observers=observers,
             )
-        graph = outcome.graph
-        witness = None
-        if graph.deadlocks and want_witness:
-            with tracer.span(names.SPAN_WITNESS):
-                witness = extract_witness(net, graph, decode=space.decode)
+            graph = outcome.graph
+            witness = None
+            if graph.deadlocks and want_witness:
+                with tracer.span(names.SPAN_WITNESS):
+                    witness = extract_witness(net, graph, decode=space.decode)
         extras = outcome.stats.as_extras()
         extras.update(space.instrumentation())
         extras[names.SAFETY_CERTIFIED] = certified

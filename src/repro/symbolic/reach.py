@@ -242,11 +242,12 @@ def analyze(
     with tracer.span(
         names.SPAN_ANALYZE, analyzer="symbolic", net=net.name
     ) as root:
-        # Consult the structural certificate before the fixpoint: when it
-        # holds, the one-token-per-place BDD encoding is provably exact.
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = net.static_analysis().safety_certificate.certified
         with stopwatch() as elapsed:
+            # Consult the structural certificate before the fixpoint: when
+            # it holds, the one-token-per-place BDD encoding is provably
+            # exact.
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = net.static_analysis().safety_certificate.certified
             result = reach(
                 net,
                 use_force_order=use_force_order,
@@ -274,16 +275,18 @@ def analyze(
                 holds = bad == ZERO
                 goal_marking = result.some_marking(bad)
                 goal_label = "violation"
-        witness = None
-        if want_witness:
-            marking = dead if goal_prop is None else goal_marking
-            if marking is not None:
-                with tracer.span(names.SPAN_WITNESS):
-                    witness = DeadlockWitness(
-                        marking=net.marking_names(marking),
-                        trace=(),
-                        label="deadlock" if goal_prop is None else goal_label,
-                    )
+            witness = None
+            if want_witness:
+                marking = dead if goal_prop is None else goal_marking
+                if marking is not None:
+                    with tracer.span(names.SPAN_WITNESS):
+                        witness = DeadlockWitness(
+                            marking=net.marking_names(marking),
+                            trace=(),
+                            label=(
+                                "deadlock" if goal_prop is None else goal_label
+                            ),
+                        )
         metrics = tracer.metrics
         labels = {"analyzer": "symbolic", "net": net.name}
         metrics.gauge(names.BDD_PEAK_NODES, **labels).set_max(

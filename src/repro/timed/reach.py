@@ -175,16 +175,19 @@ def analyze(
     with tracer.span(
         names.SPAN_ANALYZE, analyzer="timed", net=tpn.net.name
     ) as root:
-        # Consult the structural certificate of the underlying untimed net
-        # before exploring (timing restricts, never extends, reachability).
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = tpn.net.static_analysis().safety_certificate.certified
-        observers: tuple[object, ...] = (
-            (TracingObserver(tracer),) if tracer.enabled else ()
-        )
-        if goal is not None:
-            observers = (goal.observer, *observers)
         with stopwatch() as elapsed:
+            # Consult the structural certificate of the underlying untimed
+            # net before exploring (timing restricts, never extends,
+            # reachability).
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = (
+                    tpn.net.static_analysis().safety_certificate.certified
+                )
+            observers: tuple[object, ...] = (
+                (TracingObserver(tracer),) if tracer.enabled else ()
+            )
+            if goal is not None:
+                observers = (goal.observer, *observers)
             outcome = _drive(
                 space,
                 order="bfs",
@@ -192,20 +195,20 @@ def analyze(
                 max_seconds=max_seconds,
                 observers=observers,
             )
-        graph = outcome.graph
-        witness = None
-        if goal is not None:
-            if goal.hit and want_witness:
+            graph = outcome.graph
+            witness = None
+            if goal is not None:
+                if goal.hit and want_witness:
+                    with tracer.span(names.SPAN_WITNESS):
+                        witness = goal.witness(tpn.net, graph)
+            elif graph.deadlocks and want_witness:
+                target = next(iter(graph.deadlocks))
                 with tracer.span(names.SPAN_WITNESS):
-                    witness = goal.witness(tpn.net, graph)
-        elif graph.deadlocks and want_witness:
-            target = next(iter(graph.deadlocks))
-            with tracer.span(names.SPAN_WITNESS):
-                path = graph.path_to(target) or []
-                witness = DeadlockWitness(
-                    marking=tpn.net.marking_names(target.marking),
-                    trace=tuple(label for label, _ in path),
-                )
+                    path = graph.path_to(target) or []
+                    witness = DeadlockWitness(
+                        marking=tpn.net.marking_names(target.marking),
+                        trace=tuple(label for label, _ in path),
+                    )
         markings = {cls.marking for cls in graph.states()}
         extras: dict[str, object] = {"markings": len(markings)}
         extras.update(outcome.stats.as_extras())

@@ -171,12 +171,12 @@ def analyze(
     with tracer.span(
         names.SPAN_ANALYZE, analyzer="unfolding", net=net.name
     ) as root:
-        # Consult the structural certificate before unfolding: when it
-        # holds, the occurrence-net construction never hits a safety
-        # violation.
-        with tracer.span(names.SPAN_CERTIFICATE):
-            certified = net.static_analysis().safety_certificate.certified
         with stopwatch() as elapsed:
+            # Consult the structural certificate before unfolding: when it
+            # holds, the occurrence-net construction never hits a safety
+            # violation.
+            with tracer.span(names.SPAN_CERTIFICATE):
+                certified = net.static_analysis().safety_certificate.certified
             # One budget for the whole run: the prefix walk gets what the
             # unfolding left of it.
             deadline = Deadline.of(max_seconds)
@@ -212,16 +212,18 @@ def analyze(
                                 break
                 except TimeLimitReached:
                     timed_out = True
-        witness = None
-        if goal_fn is None:
-            if dead is not None and want_witness:
+            witness = None
+            if goal_fn is None:
+                if dead is not None and want_witness:
+                    witness = DeadlockWitness(
+                        marking=net.marking_names(dead), trace=()
+                    )
+            elif found is not None and want_witness:
                 witness = DeadlockWitness(
-                    marking=net.marking_names(dead), trace=()
+                    marking=net.marking_names(found),
+                    trace=(),
+                    label=goal_label,
                 )
-        elif found is not None and want_witness:
-            witness = DeadlockWitness(
-                marking=net.marking_names(found), trace=(), label=goal_label
-            )
         extras: dict[str, object] = {
             "conditions": prefix.num_conditions,
             "cutoffs": prefix.num_cutoffs,
