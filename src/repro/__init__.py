@@ -64,35 +64,24 @@ __all__ = [
 def verify(net: PetriNet, *, method: str = "gpo", **kwargs) -> AnalysisResult:
     """One-call deadlock verification with a selectable analyzer.
 
-    ``method`` is one of ``"gpo"`` (generalized partial order, the paper's
-    contribution and the default), ``"full"`` (conventional exhaustive
-    reachability), ``"stubborn"`` (partial-order reduction), ``"symbolic"``
-    (BDD-based) or ``"unfolding"`` (McMillan complete-prefix).  Extra
-    keyword arguments are forwarded to the chosen analyzer's ``analyze``
+    ``method`` names an analyzer of the engine registry
+    (:data:`repro.engine.jobs.ANALYZERS`): ``"gpo"`` (generalized partial
+    order, the paper's contribution and the default), ``"full"``
+    (conventional exhaustive reachability), ``"stubborn"`` (partial-order
+    reduction), ``"symbolic"`` (BDD-based), ``"unfolding"`` (McMillan
+    complete-prefix) or ``"parallel"`` (sharded BFS).  Extra keyword
+    arguments are forwarded to the chosen analyzer's ``analyze``
     function.
     """
-    if method == "full":
-        return analyze(net, **kwargs)
-    if method == "stubborn":
-        from repro.stubborn import analyze as stubborn_analyze
+    from repro.engine.jobs import ANALYZERS
 
-        return stubborn_analyze(net, **kwargs)
-    if method == "symbolic":
-        from repro.symbolic import analyze as symbolic_analyze
-
-        return symbolic_analyze(net, **kwargs)
-    if method == "gpo":
-        from repro.gpo import analyze as gpo_analyze
-
-        return gpo_analyze(net, **kwargs)
-    if method == "unfolding":
-        from repro.unfolding import analyze as unfolding_analyze
-
-        return unfolding_analyze(net, **kwargs)
-    raise ValueError(
-        f"unknown method {method!r}; expected one of "
-        "'gpo', 'full', 'stubborn', 'symbolic', 'unfolding'"
-    )
+    try:
+        fn = ANALYZERS[method]
+    except KeyError:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {sorted(ANALYZERS)}"
+        ) from None
+    return fn(net, **kwargs)
 
 
 def query(net: PetriNet, prop, **kwargs):

@@ -20,19 +20,13 @@ independent oracle space (``tests/oracle.py``).
 
 from __future__ import annotations
 
-from repro.analysis.stats import AnalysisResult, stopwatch
+from repro.analysis.frame import analyzer_frame
+from repro.analysis.stats import AnalysisResult
 from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
-from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
 from repro.props.ast import Property
-from repro.props.eval import (
-    engine_property,
-    needs_decomposition,
-    property_extras,
-    reject_safe,
-    run_property,
-)
+from repro.props.eval import property_extras
 from repro.search.core import (
     SearchContext,
     abort_note,
@@ -41,7 +35,6 @@ from repro.search.core import (
 from repro.search.core import explore as _drive
 from repro.search.goals import compile_goal
 from repro.search.graph import ReachabilityGraph
-from repro.search.observers import TracingObserver
 from repro.search.witness import extract_witness
 
 __all__ = [
@@ -158,13 +151,14 @@ def reachable_markings(
     return {space.decode(bits) for bits in outcome.graph.states()}
 
 
+@analyzer_frame("full")
 def analyze(
     net: PetriNet,
+    goal_prop: Property | None,
     *,
     max_states: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Run full reachability analysis and package an :class:`AnalysisResult`.
 
@@ -179,83 +173,49 @@ def analyze(
     ``extras["property_holds"]``; ``prop=None`` (and the plain
     ``deadlock`` property) keeps the historical output byte-identical.
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze(
-                net,
-                max_states=max_states,
-                max_seconds=max_seconds,
-                want_witness=want_witness,
-                prop=leaf,
-            ),
-            analyzer="full",
-            net_name=net.name,
-        )
     space = KernelMarkingSpace(net)
     goal = None
+    observers: tuple[object, ...] = ()
     if goal_prop is not None:
-        reject_safe("full", goal_prop)
-        goal = compile_goal(
-            net,
-            goal_prop,
-            marking_of=space.decode,
-        )
+        goal = compile_goal(net, goal_prop, marking_of=space.decode)
+        observers = (goal.observer,)
+    outcome = _drive(
+        space,
+        order="bfs",
+        max_states=max_states,
+        max_seconds=max_seconds,
+        observers=observers,
+    )
+    graph = outcome.graph
+    witness = None
     tracer = current_tracer()
-    with tracer.span(names.SPAN_ANALYZE, analyzer="full", net=net.name) as root:
-        with stopwatch() as elapsed:
-            # Consult the structural certificate before exploring: when it
-            # holds, UnsafeNetError is provably unreachable during the
-            # search.
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = net.static_analysis().safety_certificate.certified
-            observers: tuple[object, ...] = (
-                (TracingObserver(tracer),) if tracer.enabled else ()
-            )
-            if goal is not None:
-                observers = (goal.observer, *observers)
-            outcome = _drive(
-                space,
-                order="bfs",
-                max_states=max_states,
-                max_seconds=max_seconds,
-                observers=observers,
-            )
-            graph = outcome.graph
-            witness = None
-            if goal is not None:
-                if goal.hit and want_witness:
-                    with tracer.span(names.SPAN_WITNESS):
-                        witness = goal.witness(net, graph)
-            elif graph.deadlocks and want_witness:
-                with tracer.span(names.SPAN_WITNESS):
-                    witness = extract_witness(net, graph, decode=space.decode)
-        extras = outcome.stats.as_extras()
-        extras.update(space.instrumentation())
-        extras[names.SAFETY_CERTIFIED] = certified
-        note = abort_note(
-            outcome.stop_reason, max_states=max_states, max_seconds=max_seconds
-        )
-        if note is not None and not (goal is not None and goal.hit):
-            extras[names.ABORTED] = note
-        if goal is not None:
-            # A goal hit decides the question even though the search
-            # stopped early; report the verdict as the exhaustiveness of
-            # the *answer*, not of the state enumeration.
-            holds = goal.holds(outcome.exhaustive)
-            extras.update(property_extras(goal_prop, holds))
-        result = AnalysisResult(
-            analyzer="full",
-            net_name=net.name,
-            states=graph.num_states,
-            edges=graph.num_edges,
-            deadlock=bool(graph.deadlocks) if goal is None else False,
-            time_seconds=elapsed[0],
-            witness=witness,
-            exhaustive=outcome.exhaustive or (goal is not None and goal.hit),
-            extras=extras,
-        )
-        root.set(states=result.states, edges=result.edges)
-    record_result(result)
-    return result
+    if goal is not None:
+        if goal.hit and want_witness:
+            with tracer.span(names.SPAN_WITNESS):
+                witness = goal.witness(net, graph)
+    elif graph.deadlocks and want_witness:
+        with tracer.span(names.SPAN_WITNESS):
+            witness = extract_witness(net, graph, decode=space.decode)
+    extras = outcome.stats.as_extras()
+    extras.update(space.instrumentation())
+    note = abort_note(
+        outcome.stop_reason, max_states=max_states, max_seconds=max_seconds
+    )
+    if note is not None and not (goal is not None and goal.hit):
+        extras[names.ABORTED] = note
+    if goal is not None:
+        # A goal hit decides the question even though the search
+        # stopped early; report the verdict as the exhaustiveness of
+        # the *answer*, not of the state enumeration.
+        holds = goal.holds(outcome.exhaustive)
+        extras.update(property_extras(goal_prop, holds))
+    return AnalysisResult(
+        analyzer="full",
+        net_name=net.name,
+        states=graph.num_states,
+        edges=graph.num_edges,
+        deadlock=bool(graph.deadlocks) if goal is None else False,
+        witness=witness,
+        exhaustive=outcome.exhaustive or (goal is not None and goal.hit),
+        extras=extras,
+    )

@@ -47,7 +47,9 @@ class AnalysisResult:
     states: int
     edges: int
     deadlock: bool
-    time_seconds: float
+    #: Wall time of the whole run; set by the analyzer frame
+    #: (:mod:`repro.analysis.frame`) around the body's search.
+    time_seconds: float = 0.0
     witness: DeadlockWitness | None = None
     exhaustive: bool = True
     extras: dict[str, Any] = field(default_factory=dict)

@@ -8,9 +8,11 @@ to worker processes (:mod:`repro.engine.pool`), raced against each other
 (:mod:`repro.engine.cache`).
 
 :func:`execute_job` is the single place that maps a budget onto each
-analyzer's keyword arguments and converts budget overruns into
+analyzer's keyword arguments.  Converting budget overruns into
 non-exhaustive :class:`~repro.analysis.stats.AnalysisResult` values
-(mirroring the paper's "> 24 hours" entries).  The historical
+(mirroring the paper's "> 24 hours" entries) is the analyzer frame's job
+(:mod:`repro.analysis.frame`), so a direct ``analyze`` call and a job
+report an overrun the same way.  The historical
 ``repro.harness.runner.run_analyzer`` API is a thin wrapper around it.
 """
 
@@ -20,12 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis import analyze as full_analyze
-from repro.analysis.stats import (
-    AnalysisResult,
-    ExplorationLimitReached,
-    TimeLimitReached,
-    stopwatch,
-)
+from repro.analysis.stats import AnalysisResult
 from repro.gpo import analyze as gpo_analyze
 from repro.net.petrinet import PetriNet
 from repro.obs.names import INSTRUMENTATION_FIELDS
@@ -244,9 +241,9 @@ def is_conclusive(result: AnalysisResult | None) -> bool:
 def execute_job(job: VerificationJob) -> AnalysisResult:
     """Run one job in-process under its budget; never raises on overruns.
 
-    On overrun the returned result has ``exhaustive=False``, ``states``
-    equal to the progress actually made when the analyzer gave up (the
-    budget number when the analyzer does not report progress) and an
+    The analyzer frame (:mod:`repro.analysis.frame`) absorbs overruns: the
+    returned result then has ``exhaustive=False``, ``states`` equal to the
+    progress actually made when the analyzer gave up and an
     ``extras["aborted"]`` note.
     """
     try:
@@ -294,40 +291,7 @@ def execute_job(job: VerificationJob) -> AnalysisResult:
         if budget.max_seconds is not None:
             kwargs.setdefault("max_seconds", budget.max_seconds)
 
-    with stopwatch() as elapsed:
-        try:
-            result = fn(net, **kwargs)
-            if not result.exhaustive:
-                # Some analyzers absorb the budget internally (the full
-                # explorer returns a bounded graph); normalize the marker.
-                result.extras.setdefault(
-                    "aborted", f"> {budget.max_states} states"
-                )
-            return _attach_reduction(job, reduction, result)
-        except ExplorationLimitReached as overrun:
-            aborted: dict[str, Any] = {"aborted": f"> {overrun.limit} states"}
-            states = (
-                overrun.states_explored
-                if overrun.states_explored is not None
-                else overrun.limit
-            )
-        except TimeLimitReached as overrun:
-            aborted = {"aborted": f"> {overrun.seconds:.0f}s"}
-            states = overrun.states_explored or 0
-    return _attach_reduction(
-        job,
-        reduction,
-        AnalysisResult(
-            analyzer=job.method,
-            net_name=job.net.name,
-            states=states,
-            edges=0,
-            deadlock=False,
-            time_seconds=elapsed[0],
-            exhaustive=False,
-            extras=aborted,
-        ),
-    )
+    return _attach_reduction(job, reduction, fn(net, **kwargs))
 
 
 def _attach_reduction(

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
-from repro.analysis.stats import AnalysisResult, DeadlockWitness, stopwatch
+from repro.analysis.frame import analyzer_frame
+from repro.analysis.stats import AnalysisResult, DeadlockWitness
 from repro.families.bddfam import BddFamily
 from repro.gpo.candidates import candidate_mcs, single_enabled_mcs
 from repro.gpo.gpn import Gpn, GpnState
@@ -41,16 +42,9 @@ from repro.gpo.semantics import (
 )
 from repro.net.petrinet import PetriNet
 from repro.obs import names
-from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
 from repro.props.ast import Property
-from repro.props.eval import (
-    engine_property,
-    needs_decomposition,
-    property_extras,
-    reject_safe,
-    run_property,
-)
+from repro.props.eval import property_extras
 from repro.search.core import (
     SearchContext,
     SearchOutcome,
@@ -59,7 +53,6 @@ from repro.search.core import (
 )
 from repro.search.core import explore as _drive
 from repro.search.graph import ReachabilityGraph
-from repro.search.observers import TracingObserver
 
 if TYPE_CHECKING:
     from repro.gpo.safety import MarkingConstraint
@@ -264,14 +257,12 @@ def _explore(
     with tracer.span(names.SPAN_GPN_BUILD):
         gpn = Gpn(net)
     space = GpnSpace(gpn, options)
-    observers = (TracingObserver(tracer),) if tracer.enabled else ()
     outcome = _drive(
         space,
         order="dfs",
         max_states=options.max_states,
         max_seconds=options.max_seconds,
         stop_at_first_deadlock=options.on_deadlock == "stop-all",
-        observers=observers,
     )
     result = GpoResult(gpn, outcome.graph, space.deadlock_states)
     return result, outcome, space
@@ -356,14 +347,15 @@ def _viable_candidates(
     return viable[0]
 
 
+@analyzer_frame("gpo")
 def analyze(
     net: PetriNet,
+    goal_prop: Property | None,
     *,
     on_deadlock: OnDeadlock = "stop-branch",
     max_states: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Generalized partial-order deadlock analysis, packaged uniformly.
 
@@ -382,27 +374,11 @@ def analyze(
     fragments (``decides("gpo", ...)`` is ``False``; the portfolio runs
     GPO only as a refutation fast path).
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze(
-                net,
-                on_deadlock=on_deadlock,
-                max_states=max_states,
-                max_seconds=max_seconds,
-                want_witness=want_witness,
-                prop=leaf,
-            ),
-            analyzer="gpo",
-            net_name=net.name,
-        )
     goal_constraints = None
     goal_hit_holds = True
     goal_label = "goal"
     goal_note: str | None = None
     if goal_prop is not None:
-        reject_safe("gpo", goal_prop)
         # Lazy import: repro.gpo.safety imports this module at top level.
         from repro.gpo.safety import MarkingConstraint
         from repro.props.ast import Invariant, Not
@@ -426,62 +402,46 @@ def analyze(
         max_seconds=max_seconds,
     )
     tracer = current_tracer()
-    with tracer.span(names.SPAN_ANALYZE, analyzer="gpo", net=net.name) as root:
-        with stopwatch() as elapsed:
-            # Consult the structural certificate before exploring: when it
-            # holds, UnsafeNetError is provably unreachable during the
-            # search.
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = net.static_analysis().safety_certificate.certified
-            result, outcome, space = _explore(net, options)
-            found = None
-            if goal_constraints is not None:
-                found = result.screen(goal_constraints)
-            witness = None
-            if goal_prop is None:
-                with tracer.span(names.SPAN_WITNESS):
-                    witnesses = (
-                        result.witnesses(limit=1) if want_witness else []
-                    )
-                    witness = witnesses[0] if witnesses else None
-            elif found is not None and want_witness:
-                _, state, violating = found
-                with tracer.span(names.SPAN_WITNESS):
-                    witness = result.witness(
-                        state, violating, label=goal_label
-                    )
-        extras: dict[str, object] = {
-            "scenarios": result.gpn.r0.count(),
-            "deadlock_states": len(result.deadlock_states),
-        }
-        extras.update(outcome.stats.as_extras())
-        extras.update(space.instrumentation())
-        extras[names.SAFETY_CERTIFIED] = certified
-        note = abort_note(
-            outcome.stop_reason, max_states=max_states, max_seconds=max_seconds
-        )
-        if note is not None and not (goal_prop is not None and found):
-            extras[names.ABORTED] = note
-        if goal_prop is not None:
-            holds = goal_hit_holds if found is not None else None
-            extras.update(property_extras(goal_prop, holds))
-            extras["screen"] = "hit" if found is not None else "clean"
-            if goal_note is not None:
-                extras["screen"] = "skipped"
-                extras["screen_note"] = goal_note
-        packaged = AnalysisResult(
-            analyzer="gpo",
-            net_name=net.name,
-            states=result.graph.num_states,
-            edges=result.graph.num_edges,
-            deadlock=result.has_deadlock if goal_prop is None else False,
-            time_seconds=elapsed[0],
-            witness=witness,
-            exhaustive=(
-                outcome.exhaustive if goal_prop is None else found is not None
-            ),
-            extras=extras,
-        )
-        root.set(states=packaged.states, edges=packaged.edges)
-    record_result(packaged)
-    return packaged
+    result, outcome, space = _explore(net, options)
+    found = None
+    if goal_constraints is not None:
+        found = result.screen(goal_constraints)
+    witness = None
+    if goal_prop is None:
+        with tracer.span(names.SPAN_WITNESS):
+            witnesses = result.witnesses(limit=1) if want_witness else []
+            witness = witnesses[0] if witnesses else None
+    elif found is not None and want_witness:
+        _, state, violating = found
+        with tracer.span(names.SPAN_WITNESS):
+            witness = result.witness(state, violating, label=goal_label)
+    extras: dict[str, object] = {
+        "scenarios": result.gpn.r0.count(),
+        "deadlock_states": len(result.deadlock_states),
+    }
+    extras.update(outcome.stats.as_extras())
+    extras.update(space.instrumentation())
+    note = abort_note(
+        outcome.stop_reason, max_states=max_states, max_seconds=max_seconds
+    )
+    if note is not None and not (goal_prop is not None and found):
+        extras[names.ABORTED] = note
+    if goal_prop is not None:
+        holds = goal_hit_holds if found is not None else None
+        extras.update(property_extras(goal_prop, holds))
+        extras["screen"] = "hit" if found is not None else "clean"
+        if goal_note is not None:
+            extras["screen"] = "skipped"
+            extras["screen_note"] = goal_note
+    return AnalysisResult(
+        analyzer="gpo",
+        net_name=net.name,
+        states=result.graph.num_states,
+        edges=result.graph.num_edges,
+        deadlock=result.has_deadlock if goal_prop is None else False,
+        witness=witness,
+        exhaustive=(
+            outcome.exhaustive if goal_prop is None else found is not None
+        ),
+        extras=extras,
+    )

@@ -56,6 +56,7 @@ __all__ = [
     "SPAN_SERVE_REQUEST",
     "SPAN_STUBBORN_SET",
     "SPAN_SYMBOLIC_ENCODE",
+    "SPAN_SYMBOLIC_REACH",
     "SPAN_SYMBOLIC_ITERATION",
     "SPAN_UNFOLD",
     "SPAN_WITNESS",
@@ -183,6 +184,8 @@ SPAN_GPN_BUILD = "gpo/gpn_build"
 SPAN_ENABLED_FAMILIES = "gpo/enabled_families"
 #: One Def. 3.6 multiple firing.
 SPAN_MULTIPLE_FIRE = "gpo/multiple_fire"
+#: One whole symbolic fixpoint run (encoding plus every iteration).
+SPAN_SYMBOLIC_REACH = "symbolic/reach"
 #: Variable ordering + transition-relation construction.
 SPAN_SYMBOLIC_ENCODE = "symbolic/encode"
 #: One breadth-first image iteration of the symbolic fixpoint.

@@ -1,10 +1,11 @@
 """Bridge from analyzer results to the metrics registry.
 
-Every analyzer calls :func:`record_result` exactly once per ``analyze``
-— that single choke point is what guarantees the acceptance property
-that the ``states_expanded`` / ``peak_frontier`` metrics match the
+The analyzer frame (:mod:`repro.analysis.frame`) calls
+:func:`record_result` exactly once per atomic ``analyze`` run — that
+single choke point is what guarantees the acceptance property that the
+``states_expanded`` / ``peak_frontier`` metrics match the
 :class:`~repro.analysis.stats.AnalysisResult` fields exactly, for all
-six analyzers, including the ones that never run the generic search
+seven analyzers, including the ones that never run the generic search
 driver (symbolic, unfolding).
 """
 

@@ -33,8 +33,6 @@ from repro.props.ast import (
     PropertyError,
     PropTrue,
     Reachable,
-    Safe,
-    UnsupportedPropertyError,
 )
 from repro.props.normalize import normalize
 from repro.props.parse import parse_property
@@ -47,7 +45,6 @@ __all__ = [
     "holds_of",
     "needs_decomposition",
     "property_extras",
-    "reject_safe",
     "run_property",
 ]
 
@@ -77,17 +74,6 @@ def engine_property(prop: "Property | str | None") -> Property | None:
     if isinstance(normalized, Deadlock):
         return None
     return normalized
-
-
-def reject_safe(method: str, prop: Property) -> None:
-    """Engine methods cannot decide ``invariant(safe)``; fail loudly."""
-    if isinstance(prop, Invariant) and isinstance(prop.pred, Safe):
-        raise UnsupportedPropertyError(
-            method,
-            prop,
-            "1-safety is decided structurally (certificate + bounded "
-            "walk); use the planner or `gpo check`",
-        )
 
 
 def needs_decomposition(prop: Property) -> bool:

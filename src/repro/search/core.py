@@ -39,12 +39,14 @@ from typing import (
 
 from repro.obs import names
 from repro.obs.names import INSTRUMENTATION_FIELDS
+from repro.obs.tracer import current_tracer
 from repro.search.graph import ReachabilityGraph
 from repro.search.limits import (
     Deadline,
     ExplorationLimitReached,
     TimeLimitReached,
 )
+from repro.search.observers import TracingObserver
 
 __all__ = [
     "INSTRUMENTATION_FIELDS",
@@ -233,10 +235,15 @@ def explore(
     The wall-clock budget is checked cooperatively once per expanded
     state.  Observer hooks (``on_state`` / ``on_edge`` / ``on_deadlock``)
     may return a truthy value to request early termination
-    (``stop_reason="observer"``).
+    (``stop_reason="observer"``).  When the ambient tracer is enabled the
+    driver attaches a :class:`~repro.search.observers.TracingObserver`
+    itself, so every driven search emits its ``search`` span.
     """
     if order not in ("bfs", "dfs"):
         raise ValueError(f"unknown search order {order!r}")
+    tracer = current_tracer()
+    if tracer.enabled:
+        observers = (*observers, TracingObserver(tracer))
     deadline = Deadline.of(max_seconds)
     start = time.perf_counter()
     initial = space.initial()

@@ -48,24 +48,16 @@ import time
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
-from repro.analysis.stats import AnalysisResult, stopwatch
+from repro.analysis.frame import analyzer_frame
+from repro.analysis.stats import AnalysisResult
 from repro.net.batch import HAVE_NUMPY, BatchedKernel, state_key, words_of
 from repro.net.exceptions import UnsafeNetError
 from repro.net.kernel import MarkingKernel
 from repro.net.petrinet import PetriNet
 from repro.obs import names
-from repro.obs.context import (
-    TraceContext,
-    current_context,
-    new_trace_context,
-    set_context,
-    use_context,
-)
-from repro.obs.record import record_result
+from repro.obs.context import TraceContext, current_context, set_context
 from repro.obs.tracer import current_tracer
-from repro.props.ast import Property, UnsupportedPropertyError
-from repro.props.compat import unsupported_reason
-from repro.props.eval import engine_property, needs_decomposition, run_property
+from repro.props.ast import Property
 from repro.search.core import abort_note
 from repro.search.limits import Deadline
 
@@ -526,8 +518,10 @@ class _ForkRunner:
                 proc.join(timeout=1.0)
 
 
+@analyzer_frame("parallel")
 def analyze_parallel(
     net: PetriNet,
+    goal_prop: Property | None,
     *,
     shards: int = 2,
     batch: Any = "auto",
@@ -535,7 +529,6 @@ def analyze_parallel(
     max_states: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = False,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Sharded analysis packaged as an :class:`AnalysisResult`.
 
@@ -543,91 +536,51 @@ def analyze_parallel(
     entry) and reports no witness:
     the shards keep visited *sets*, not the edge structure a witness
     path needs (``want_witness`` is accepted for signature uniformity).
+    One sharded analysis is one logical request, so inline and forked
+    shard spans share the trace context the frame installs.
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze_parallel(
-                net,
-                shards=shards,
-                batch=batch,
-                workers=workers,
-                max_states=max_states,
-                max_seconds=max_seconds,
-                want_witness=want_witness,
-                prop=leaf,
-            ),
-            analyzer="parallel",
-            net_name=net.name,
+    outcome = explore_parallel(
+        net,
+        shards=shards,
+        batch=batch,
+        workers=workers,
+        max_states=max_states,
+        max_seconds=max_seconds,
+    )
+    extras: dict[str, Any] = {
+        names.EXPANDED: outcome.expanded,
+        names.PEAK_FRONTIER: outcome.peak_frontier,
+        names.MEAN_ENABLED: round(outcome.mean_enabled, 3),
+        names.STATES_PER_SECOND: round(
+            outcome.states / outcome.elapsed_seconds, 1
         )
-    if goal_prop is not None:
-        raise UnsupportedPropertyError(
-            "parallel",
-            goal_prop,
-            unsupported_reason("parallel", goal_prop)
-            or "the sharded explorer answers the deadlock question only",
+        if outcome.elapsed_seconds > 0
+        else float(outcome.states),
+        names.SHARDS: shards,
+        names.SHARD_EXCHANGE_VOLUME: outcome.exchange_volume,
+        names.SHARD_EXCHANGE_STALLS: outcome.exchange_stalls,
+        "workers": outcome.workers,
+        "levels": outcome.levels,
+        "shard_states": list(outcome.shard_states),
+    }
+    if outcome.batch and outcome.batch_levels:
+        extras[names.BATCH_LEVEL_WIDTH] = round(
+            outcome.batch_rows_total / outcome.batch_levels, 3
         )
-    tracer = current_tracer()
-    # One sharded analysis is one logical request: mint a trace context
-    # when the caller did not install one, so inline and forked shard
-    # spans share one trace_id.
-    ctx = current_context()
-    if ctx is None and tracer.enabled:
-        ctx = new_trace_context()
-    with use_context(ctx), tracer.span(
-        names.SPAN_ANALYZE, analyzer="parallel", net=net.name
-    ) as root:
-        with stopwatch() as elapsed:
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = net.static_analysis().safety_certificate.certified
-            outcome = explore_parallel(
-                net,
-                shards=shards,
-                batch=batch,
-                workers=workers,
-                max_states=max_states,
-                max_seconds=max_seconds,
-            )
-        extras: dict[str, Any] = {
-            names.EXPANDED: outcome.expanded,
-            names.PEAK_FRONTIER: outcome.peak_frontier,
-            names.MEAN_ENABLED: round(outcome.mean_enabled, 3),
-            names.STATES_PER_SECOND: round(
-                outcome.states / outcome.elapsed_seconds, 1
-            )
-            if outcome.elapsed_seconds > 0
-            else float(outcome.states),
-            names.SHARDS: shards,
-            names.SHARD_EXCHANGE_VOLUME: outcome.exchange_volume,
-            names.SHARD_EXCHANGE_STALLS: outcome.exchange_stalls,
-            "workers": outcome.workers,
-            "levels": outcome.levels,
-            "shard_states": list(outcome.shard_states),
-            names.SAFETY_CERTIFIED: certified,
-        }
-        if outcome.batch and outcome.batch_levels:
-            extras[names.BATCH_LEVEL_WIDTH] = round(
-                outcome.batch_rows_total / outcome.batch_levels, 3
-            )
-        note = abort_note(
-            outcome.stop_reason,
-            max_states=max_states,
-            max_seconds=max_seconds,
-        )
-        if note is not None:
-            extras[names.ABORTED] = note
-        result = AnalysisResult(
-            analyzer="parallel",
-            net_name=net.name,
-            states=outcome.states,
-            edges=outcome.edges,
-            deadlock=outcome.deadlocks > 0,
-            time_seconds=elapsed[0],
-            witness=None,
-            exhaustive=outcome.exhaustive,
-            extras=extras,
-        )
-        root.set(states=result.states, edges=result.edges)
-    record_result(result)
-    return result
+    note = abort_note(
+        outcome.stop_reason,
+        max_states=max_states,
+        max_seconds=max_seconds,
+    )
+    if note is not None:
+        extras[names.ABORTED] = note
+    return AnalysisResult(
+        analyzer="parallel",
+        net_name=net.name,
+        states=outcome.states,
+        edges=outcome.edges,
+        deadlock=outcome.deadlocks > 0,
+        witness=None,
+        exhaustive=outcome.exhaustive,
+        extras=extras,
+    )

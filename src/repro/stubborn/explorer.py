@@ -16,22 +16,16 @@ transitions).
 from __future__ import annotations
 
 from time import perf_counter
-from repro.analysis.stats import AnalysisResult, stopwatch
+
+from repro.analysis.frame import analyzer_frame
+from repro.analysis.stats import AnalysisResult
 from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
-from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
-from repro.props.ast import Property, UnsupportedPropertyError
-from repro.props.compat import unsupported_reason
-from repro.props.eval import (
-    engine_property,
-    needs_decomposition,
-    run_property,
-)
+from repro.props.ast import Property
 from repro.search.core import SearchContext, abort_note, raise_if_bounded
 from repro.search.core import explore as _drive
 from repro.search.graph import ReachabilityGraph
-from repro.search.observers import TracingObserver
 from repro.search.witness import extract_witness
 from repro.stubborn.stubborn import _enabled_part, stubborn_enabled_mask
 
@@ -167,13 +161,14 @@ def explore_reduced(
     return outcome.graph.map_states(space.decode)
 
 
+@analyzer_frame("stubborn")
 def analyze(
     net: PetriNet,
+    goal_prop: Property | None,
     *,
     max_states: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Run stubborn-set reduced analysis, packaged uniformly.
 
@@ -190,70 +185,29 @@ def analyze(
     :class:`~repro.props.ast.UnsupportedPropertyError` — the reduced
     graph genuinely cannot answer the question.
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze(
-                net,
-                max_states=max_states,
-                max_seconds=max_seconds,
-                want_witness=want_witness,
-                prop=leaf,
-            ),
-            analyzer="stubborn",
-            net_name=net.name,
-        )
-    if goal_prop is not None:
-        raise UnsupportedPropertyError(
-            "stubborn",
-            goal_prop,
-            unsupported_reason("stubborn", goal_prop)
-            or "the stubborn-set reduction preserves deadlocks only",
-        )
-    tracer = current_tracer()
-    with tracer.span(
-        names.SPAN_ANALYZE, analyzer="stubborn", net=net.name
-    ) as root:
-        with stopwatch() as elapsed:
-            space = KernelStubbornSpace(net)
-            # Consult the structural certificate before exploring: when it
-            # holds, UnsafeNetError is provably unreachable during the
-            # search.
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = net.static_analysis().safety_certificate.certified
-            observers = (TracingObserver(tracer),) if tracer.enabled else ()
-            outcome = _drive(
-                space,
-                order="bfs",
-                max_states=max_states,
-                max_seconds=max_seconds,
-                observers=observers,
-            )
-            graph = outcome.graph
-            witness = None
-            if graph.deadlocks and want_witness:
-                with tracer.span(names.SPAN_WITNESS):
-                    witness = extract_witness(net, graph, decode=space.decode)
-        extras = outcome.stats.as_extras()
-        extras.update(space.instrumentation())
-        extras[names.SAFETY_CERTIFIED] = certified
-        note = abort_note(
-            outcome.stop_reason, max_states=max_states, max_seconds=max_seconds
-        )
-        if note is not None:
-            extras[names.ABORTED] = note
-        result = AnalysisResult(
-            analyzer="stubborn",
-            net_name=net.name,
-            states=graph.num_states,
-            edges=graph.num_edges,
-            deadlock=bool(graph.deadlocks),
-            time_seconds=elapsed[0],
-            witness=witness,
-            exhaustive=outcome.exhaustive,
-            extras=extras,
-        )
-        root.set(states=result.states, edges=result.edges)
-    record_result(result)
-    return result
+    space = KernelStubbornSpace(net)
+    outcome = _drive(
+        space, order="bfs", max_states=max_states, max_seconds=max_seconds
+    )
+    graph = outcome.graph
+    witness = None
+    if graph.deadlocks and want_witness:
+        with current_tracer().span(names.SPAN_WITNESS):
+            witness = extract_witness(net, graph, decode=space.decode)
+    extras = outcome.stats.as_extras()
+    extras.update(space.instrumentation())
+    note = abort_note(
+        outcome.stop_reason, max_states=max_states, max_seconds=max_seconds
+    )
+    if note is not None:
+        extras[names.ABORTED] = note
+    return AnalysisResult(
+        analyzer="stubborn",
+        net_name=net.name,
+        states=graph.num_states,
+        edges=graph.num_edges,
+        deadlock=bool(graph.deadlocks),
+        witness=witness,
+        exhaustive=outcome.exhaustive,
+        extras=extras,
+    )

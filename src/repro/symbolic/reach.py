@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import time
 
+from repro.analysis.frame import analyzer_frame
 from repro.analysis.stats import (
     AnalysisResult,
     DeadlockWitness,
     TimeLimitReached,
-    stopwatch,
 )
 from repro.bdd.manager import ONE, ZERO
 from repro.bdd.ops import any_model, relprod, rename, satcount, substitute
 from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
-from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
 from repro.props.ast import (
     And,
@@ -40,13 +39,7 @@ from repro.props.ast import (
     Reachable,
     Top,
 )
-from repro.props.eval import (
-    engine_property,
-    needs_decomposition,
-    property_extras,
-    reject_safe,
-    run_property,
-)
+from repro.props.eval import property_extras
 from repro.symbolic.encoding import SymbolicNet
 
 __all__ = ["SymbolicResult", "predicate_bdd", "reach", "analyze"]
@@ -155,57 +148,64 @@ def reach(
     """
     deadline = None if max_seconds is None else time.perf_counter() + max_seconds
     tracer = current_tracer()
-    with tracer.span(names.SPAN_SYMBOLIC_ENCODE):
-        symnet = SymbolicNet(net, use_force_order=use_force_order)
-        mgr = symnet.mgr
-        if partitioned:
-            relations = symnet.relations
-            steps = [
-                lambda s, lits=lits: substitute(mgr, s, lits)
-                for lits in symnet.image_literals
-            ]
-        else:
-            monolithic = symnet.monolithic_relation()
-            current_levels = symnet.current_levels()
-            renaming = symnet.next_to_current()
-            relations = [monolithic]
-            steps = [
-                lambda s: rename(
-                    mgr, relprod(mgr, s, monolithic, current_levels), renaming
-                )
-            ]
-    relation_nodes = mgr.count_nodes(*relations)
-    reached = symnet.encode_marking(net.initial_marking)
-    frontier = reached
-    peak = relation_nodes + mgr.count_nodes(reached)
-    iterations = 0
+    with tracer.span(names.SPAN_SYMBOLIC_REACH) as span:
+        with tracer.span(names.SPAN_SYMBOLIC_ENCODE):
+            symnet = SymbolicNet(net, use_force_order=use_force_order)
+            mgr = symnet.mgr
+            if partitioned:
+                relations = symnet.relations
+                steps = [
+                    lambda s, lits=lits: substitute(mgr, s, lits)
+                    for lits in symnet.image_literals
+                ]
+            else:
+                monolithic = symnet.monolithic_relation()
+                current_levels = symnet.current_levels()
+                renaming = symnet.next_to_current()
+                relations = [monolithic]
+                steps = [
+                    lambda s: rename(
+                        mgr,
+                        relprod(mgr, s, monolithic, current_levels),
+                        renaming,
+                    )
+                ]
+        relation_nodes = mgr.count_nodes(*relations)
+        reached = symnet.encode_marking(net.initial_marking)
+        frontier = reached
+        peak = relation_nodes + mgr.count_nodes(reached)
+        iterations = 0
 
-    while frontier != ZERO:
-        iterations += 1
-        with tracer.span(names.SPAN_SYMBOLIC_ITERATION, iteration=iterations):
-            image = ZERO
-            for step in steps:
-                if deadline is not None and time.perf_counter() > deadline:
-                    # Progress is completed fixpoint iterations; there is
-                    # no explicit state count to report at abort.
-                    raise TimeLimitReached(max_seconds, iterations - 1)  # type: ignore[arg-type]
-                image = mgr.or_(image, step(frontier))
-            frontier = mgr.diff(image, reached)
-            reached = mgr.or_(reached, frontier)
-            live = relation_nodes + mgr.count_nodes(reached, frontier)
-            if live > peak:
-                peak = live
+        while frontier != ZERO:
+            iterations += 1
+            with tracer.span(
+                names.SPAN_SYMBOLIC_ITERATION, iteration=iterations
+            ):
+                image = ZERO
+                for step in steps:
+                    if deadline is not None and time.perf_counter() > deadline:
+                        # Progress is completed fixpoint iterations;
+                        # there is no explicit state count at abort.
+                        raise TimeLimitReached(max_seconds, iterations - 1)  # type: ignore[arg-type]
+                    image = mgr.or_(image, step(frontier))
+                frontier = mgr.diff(image, reached)
+                reached = mgr.or_(reached, frontier)
+                live = relation_nodes + mgr.count_nodes(reached, frontier)
+                if live > peak:
+                    peak = live
+        span.set(iterations=iterations, peak_bdd_nodes=peak)
     return SymbolicResult(symnet, reached, iterations, peak)
 
 
+@analyzer_frame("symbolic")
 def analyze(
     net: PetriNet,
+    goal_prop: Property | None,
     *,
     use_force_order: bool = True,
     partitioned: bool = True,
     want_witness: bool = True,
     max_seconds: float | None = None,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Symbolic deadlock analysis packaged uniformly.
 
@@ -214,108 +214,70 @@ def analyze(
     Table 1 "Peak BDD-size" analogue and ``extras["iterations"]`` the
     fixpoint depth.  The witness marking (when a deadlock exists) comes
     without a trace — recovering traces needs backward images, which the
-    paper's comparison does not exercise.
+    paper's comparison does not exercise.  A fixpoint cut by
+    ``max_seconds`` is a bounded, non-exhaustive result.
 
     ``prop`` asks a property question: ``reachable(p)`` /
     ``invariant(p)`` become BDD emptiness tests against the reached set,
     so the verdict is always exact (never screen-only).  Property
     witnesses are markings without traces, like deadlock witnesses.
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze(
-                net,
-                use_force_order=use_force_order,
-                partitioned=partitioned,
-                want_witness=want_witness,
-                max_seconds=max_seconds,
-                prop=leaf,
-            ),
-            analyzer="symbolic",
-            net_name=net.name,
+    result = reach(
+        net,
+        use_force_order=use_force_order,
+        partitioned=partitioned,
+        max_seconds=max_seconds,
+    )
+    mgr = result.symnet.mgr
+    dead = None
+    holds: bool | None = None
+    goal_marking: Marking | None = None
+    goal_label = "goal"
+    if goal_prop is None:
+        dead = result.deadlock_marking()
+    elif isinstance(goal_prop, Reachable):
+        hit = mgr.and_(
+            result.reached, predicate_bdd(result.symnet, goal_prop.pred)
         )
-    if goal_prop is not None:
-        reject_safe("symbolic", goal_prop)
+        holds = hit != ZERO
+        goal_marking = result.some_marking(hit)
+    else:
+        assert isinstance(goal_prop, Invariant)
+        bad = mgr.diff(
+            result.reached, predicate_bdd(result.symnet, goal_prop.pred)
+        )
+        holds = bad == ZERO
+        goal_marking = result.some_marking(bad)
+        goal_label = "violation"
     tracer = current_tracer()
-    with tracer.span(
-        names.SPAN_ANALYZE, analyzer="symbolic", net=net.name
-    ) as root:
-        with stopwatch() as elapsed:
-            # Consult the structural certificate before the fixpoint: when
-            # it holds, the one-token-per-place BDD encoding is provably
-            # exact.
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = net.static_analysis().safety_certificate.certified
-            result = reach(
-                net,
-                use_force_order=use_force_order,
-                partitioned=partitioned,
-                max_seconds=max_seconds,
-            )
-            mgr = result.symnet.mgr
-            dead = None
-            holds: bool | None = None
-            goal_marking: Marking | None = None
-            goal_label = "goal"
-            if goal_prop is None:
-                dead = result.deadlock_marking()
-            elif isinstance(goal_prop, Reachable):
-                hit = mgr.and_(
-                    result.reached, predicate_bdd(result.symnet, goal_prop.pred)
+    witness = None
+    if want_witness:
+        marking = dead if goal_prop is None else goal_marking
+        if marking is not None:
+            with tracer.span(names.SPAN_WITNESS):
+                witness = DeadlockWitness(
+                    marking=net.marking_names(marking),
+                    trace=(),
+                    label="deadlock" if goal_prop is None else goal_label,
                 )
-                holds = hit != ZERO
-                goal_marking = result.some_marking(hit)
-            else:
-                assert isinstance(goal_prop, Invariant)
-                bad = mgr.diff(
-                    result.reached, predicate_bdd(result.symnet, goal_prop.pred)
-                )
-                holds = bad == ZERO
-                goal_marking = result.some_marking(bad)
-                goal_label = "violation"
-            witness = None
-            if want_witness:
-                marking = dead if goal_prop is None else goal_marking
-                if marking is not None:
-                    with tracer.span(names.SPAN_WITNESS):
-                        witness = DeadlockWitness(
-                            marking=net.marking_names(marking),
-                            trace=(),
-                            label=(
-                                "deadlock" if goal_prop is None else goal_label
-                            ),
-                        )
-        metrics = tracer.metrics
-        labels = {"analyzer": "symbolic", "net": net.name}
-        metrics.gauge(names.BDD_PEAK_NODES, **labels).set_max(
-            result.peak_nodes
-        )
-        metrics.gauge(names.BDD_CACHE_HIT_RATIO, **labels).set(
-            round(mgr.cache_hit_ratio, 4)
-        )
-        extras: dict[str, object] = {
-            "peak_bdd_nodes": result.peak_nodes,
-            "iterations": result.iterations,
-            names.SAFETY_CERTIFIED: certified,
-        }
-        if goal_prop is not None:
-            extras.update(property_extras(goal_prop, holds))
-        packaged = AnalysisResult(
-            analyzer="symbolic",
-            net_name=net.name,
-            states=result.num_states,
-            edges=0,
-            deadlock=dead is not None,
-            time_seconds=elapsed[0],
-            witness=witness,
-            extras=extras,
-        )
-        root.set(
-            states=packaged.states,
-            iterations=result.iterations,
-            peak_bdd_nodes=result.peak_nodes,
-        )
-    record_result(packaged)
-    return packaged
+    metrics = tracer.metrics
+    labels = {"analyzer": "symbolic", "net": net.name}
+    metrics.gauge(names.BDD_PEAK_NODES, **labels).set_max(result.peak_nodes)
+    metrics.gauge(names.BDD_CACHE_HIT_RATIO, **labels).set(
+        round(mgr.cache_hit_ratio, 4)
+    )
+    extras: dict[str, object] = {
+        "peak_bdd_nodes": result.peak_nodes,
+        "iterations": result.iterations,
+    }
+    if goal_prop is not None:
+        extras.update(property_extras(goal_prop, holds))
+    return AnalysisResult(
+        analyzer="symbolic",
+        net_name=net.name,
+        states=result.num_states,
+        edges=0,
+        deadlock=dead is not None,
+        witness=witness,
+        extras=extras,
+    )

@@ -15,24 +15,17 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.stats import AnalysisResult, DeadlockWitness, stopwatch
+from repro.analysis.frame import analyzer_frame
+from repro.analysis.stats import AnalysisResult, DeadlockWitness
 from repro.net.petrinet import Marking
 from repro.obs import names
-from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
 from repro.props.ast import Property
-from repro.props.eval import (
-    engine_property,
-    needs_decomposition,
-    property_extras,
-    reject_safe,
-    run_property,
-)
+from repro.props.eval import property_extras
 from repro.search.core import SearchContext, abort_note, raise_if_bounded
 from repro.search.core import explore as _drive
 from repro.search.goals import compile_goal
 from repro.search.graph import ReachabilityGraph
-from repro.search.observers import TracingObserver
 from repro.timed.stateclass import StateClass, fire_class, initial_class
 from repro.timed.tpn import TimedPetriNet
 
@@ -130,13 +123,14 @@ def timed_reachable_markings(
     return {cls.marking for cls in graph.states()}
 
 
+@analyzer_frame("timed", net_of=lambda tpn: tpn.net)
 def analyze(
     tpn: TimedPetriNet,
+    goal_prop: Property | None,
     *,
     max_classes: int | None = None,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Timed deadlock analysis packaged like the untimed analyzers.
 
@@ -144,95 +138,63 @@ def analyze(
     distinct markings they cover.  A witness trace is a firing sequence
     of the state-class graph (feasible under some timing of the delays).
     Budget overruns are absorbed into a bounded, non-exhaustive result.
+    The safety certificate is the underlying untimed net's (timing
+    restricts, never extends, reachability).
 
     ``prop`` asks a property question over *timed-reachable* markings: a
     goal observer projects each state class onto its marking, so
     ``reachable(p)`` means "some class whose marking satisfies ``p`` is
     reachable under the timing constraints".
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze(
-                tpn,
-                max_classes=max_classes,
-                max_seconds=max_seconds,
-                want_witness=want_witness,
-                prop=leaf,
-            ),
-            analyzer="timed",
-            net_name=tpn.net.name,
-        )
     space = StateClassSpace(tpn)
     goal = None
+    observers: tuple[object, ...] = ()
     if goal_prop is not None:
-        reject_safe("timed", goal_prop)
         goal = compile_goal(
             tpn.net, goal_prop, marking_of=lambda cls: cls.marking
         )
+        observers = (goal.observer,)
+    outcome = _drive(
+        space,
+        order="bfs",
+        max_states=max_classes,
+        max_seconds=max_seconds,
+        observers=observers,
+    )
+    graph = outcome.graph
+    witness = None
     tracer = current_tracer()
-    with tracer.span(
-        names.SPAN_ANALYZE, analyzer="timed", net=tpn.net.name
-    ) as root:
-        with stopwatch() as elapsed:
-            # Consult the structural certificate of the underlying untimed
-            # net before exploring (timing restricts, never extends,
-            # reachability).
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = (
-                    tpn.net.static_analysis().safety_certificate.certified
-                )
-            observers: tuple[object, ...] = (
-                (TracingObserver(tracer),) if tracer.enabled else ()
+    if goal is not None:
+        if goal.hit and want_witness:
+            with tracer.span(names.SPAN_WITNESS):
+                witness = goal.witness(tpn.net, graph)
+    elif graph.deadlocks and want_witness:
+        target = next(iter(graph.deadlocks))
+        with tracer.span(names.SPAN_WITNESS):
+            path = graph.path_to(target) or []
+            witness = DeadlockWitness(
+                marking=tpn.net.marking_names(target.marking),
+                trace=tuple(label for label, _ in path),
             )
-            if goal is not None:
-                observers = (goal.observer, *observers)
-            outcome = _drive(
-                space,
-                order="bfs",
-                max_states=max_classes,
-                max_seconds=max_seconds,
-                observers=observers,
-            )
-            graph = outcome.graph
-            witness = None
-            if goal is not None:
-                if goal.hit and want_witness:
-                    with tracer.span(names.SPAN_WITNESS):
-                        witness = goal.witness(tpn.net, graph)
-            elif graph.deadlocks and want_witness:
-                target = next(iter(graph.deadlocks))
-                with tracer.span(names.SPAN_WITNESS):
-                    path = graph.path_to(target) or []
-                    witness = DeadlockWitness(
-                        marking=tpn.net.marking_names(target.marking),
-                        trace=tuple(label for label, _ in path),
-                    )
-        markings = {cls.marking for cls in graph.states()}
-        extras: dict[str, object] = {"markings": len(markings)}
-        extras.update(outcome.stats.as_extras())
-        extras[names.SAFETY_CERTIFIED] = certified
-        note = abort_note(
-            outcome.stop_reason, max_states=max_classes, max_seconds=max_seconds
+    markings = {cls.marking for cls in graph.states()}
+    extras: dict[str, object] = {"markings": len(markings)}
+    extras.update(outcome.stats.as_extras())
+    note = abort_note(
+        outcome.stop_reason, max_states=max_classes, max_seconds=max_seconds
+    )
+    if note is not None and not (goal is not None and goal.hit):
+        extras[names.ABORTED] = note
+    if goal is not None:
+        extras.update(
+            property_extras(goal_prop, goal.holds(outcome.exhaustive))
         )
-        if note is not None and not (goal is not None and goal.hit):
-            extras[names.ABORTED] = note
-        if goal is not None:
-            extras.update(
-                property_extras(goal_prop, goal.holds(outcome.exhaustive))
-            )
-        result = AnalysisResult(
-            analyzer="timed",
-            net_name=tpn.net.name,
-            states=graph.num_states,
-            edges=graph.num_edges,
-            deadlock=bool(graph.deadlocks) if goal is None else False,
-            time_seconds=elapsed[0],
-            witness=witness,
-            exhaustive=outcome.exhaustive or (goal is not None and goal.hit),
-            extras=extras,
-        )
-        root.set(states=result.states, edges=result.edges)
-    record_result(result)
-    return result
+    return AnalysisResult(
+        analyzer="timed",
+        net_name=tpn.net.name,
+        states=graph.num_states,
+        edges=graph.num_edges,
+        deadlock=bool(graph.deadlocks) if goal is None else False,
+        witness=witness,
+        exhaustive=outcome.exhaustive or (goal is not None and goal.hit),
+        extras=extras,
+    )

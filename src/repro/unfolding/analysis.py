@@ -16,26 +16,19 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.analysis.frame import analyzer_frame
 from repro.analysis.stats import (
     AnalysisResult,
     Deadline,
     DeadlockWitness,
     TimeLimitReached,
-    stopwatch,
 )
 from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
-from repro.obs.record import record_result
 from repro.obs.tracer import current_tracer
 from repro.props.ast import Invariant, Not, Property
 from repro.props.compile import check_places, predicate_fn
-from repro.props.eval import (
-    engine_property,
-    needs_decomposition,
-    property_extras,
-    reject_safe,
-    run_property,
-)
+from repro.props.eval import property_extras
 from repro.search.core import abort_note
 from repro.unfolding.prefix import Prefix, unfold
 
@@ -126,40 +119,28 @@ def deadlock_via_prefix(
     return None
 
 
+@analyzer_frame("unfolding")
 def analyze(
     net: PetriNet,
+    goal_prop: Property | None,
     *,
     max_events: int | None = 10_000,
     max_seconds: float | None = None,
     want_witness: bool = True,
-    prop: "Property | str | None" = None,
 ) -> AnalysisResult:
     """Unfold and report prefix sizes plus a deadlock verdict.
 
-    ``prop`` evaluates a property over the markings the prefix
-    represents.  Every cut of a prefix — even a truncated one — is a
-    genuinely reachable marking, so a hit is conclusive regardless of
-    the event budget; a miss decides only when the prefix is complete.
+    A prefix truncated at ``max_events`` is a bounded, non-exhaustive
+    result noted like a state-budget overrun.  ``prop`` evaluates a
+    property over the markings the prefix represents.  Every cut of a
+    prefix — even a truncated one — is a genuinely reachable marking, so
+    a hit is conclusive regardless of the event budget; a miss decides
+    only when the prefix is complete.
     """
-    goal_prop = engine_property(prop)
-    if goal_prop is not None and needs_decomposition(goal_prop):
-        return run_property(
-            goal_prop,
-            lambda leaf: analyze(
-                net,
-                max_events=max_events,
-                max_seconds=max_seconds,
-                want_witness=want_witness,
-                prop=leaf,
-            ),
-            analyzer="unfolding",
-            net_name=net.name,
-        )
     goal_fn = None
     goal_hit_holds = True
     goal_label = "goal"
     if goal_prop is not None:
-        reject_safe("unfolding", goal_prop)
         check_places(net, goal_prop)
         if isinstance(goal_prop, Invariant):
             target = Not(goal_prop.pred)
@@ -167,92 +148,76 @@ def analyze(
         else:
             target = goal_prop.pred
         goal_fn = predicate_fn(net, target)
+    # One budget for the whole run: the prefix walk gets what the
+    # unfolding left of it.
+    deadline = Deadline.of(max_seconds)
     tracer = current_tracer()
-    with tracer.span(
-        names.SPAN_ANALYZE, analyzer="unfolding", net=net.name
-    ) as root:
-        with stopwatch() as elapsed:
-            # Consult the structural certificate before unfolding: when it
-            # holds, the occurrence-net construction never hits a safety
-            # violation.
-            with tracer.span(names.SPAN_CERTIFICATE):
-                certified = net.static_analysis().safety_certificate.certified
-            # One budget for the whole run: the prefix walk gets what the
-            # unfolding left of it.
-            deadline = Deadline.of(max_seconds)
-            with tracer.span(names.SPAN_UNFOLD):
-                prefix = unfold(
-                    net, max_events=max_events, max_seconds=max_seconds
-                )
-            exhaustive = (
-                max_events is None or prefix.num_events < max_events
-            )
-            dead = None
-            found: Marking | None = None
-            enumerated = True
-            timed_out = False
-            with tracer.span(names.SPAN_WITNESS):
-                try:
-                    if goal_fn is None:
-                        dead = (
-                            deadlock_via_prefix(net, prefix, deadline=deadline)
-                            if exhaustive
-                            else None
-                        )
-                    else:
-                        try:
-                            markings = prefix_markings(prefix, deadline=deadline)
-                        except TimeLimitReached:
-                            raise
-                        except RuntimeError:  # the enumeration limit
-                            enumerated, markings = False, set()
-                        for marking in markings:
-                            if goal_fn(net.marking_names(marking)):
-                                found = marking
-                                break
-                except TimeLimitReached:
-                    timed_out = True
-            witness = None
+    with tracer.span(names.SPAN_UNFOLD):
+        prefix = unfold(net, max_events=max_events, max_seconds=max_seconds)
+    exhaustive = max_events is None or prefix.num_events < max_events
+    dead = None
+    found: Marking | None = None
+    enumerated = True
+    timed_out = False
+    with tracer.span(names.SPAN_WITNESS):
+        try:
             if goal_fn is None:
-                if dead is not None and want_witness:
-                    witness = DeadlockWitness(
-                        marking=net.marking_names(dead), trace=()
-                    )
-            elif found is not None and want_witness:
-                witness = DeadlockWitness(
-                    marking=net.marking_names(found),
-                    trace=(),
-                    label=goal_label,
+                dead = (
+                    deadlock_via_prefix(net, prefix, deadline=deadline)
+                    if exhaustive
+                    else None
                 )
-        extras: dict[str, object] = {
-            "conditions": prefix.num_conditions,
-            "cutoffs": prefix.num_cutoffs,
-            names.SAFETY_CERTIFIED: certified,
-        }
-        if goal_fn is not None:
-            if found is not None:
-                holds: bool | None = goal_hit_holds
-            elif exhaustive and enumerated and not timed_out:
-                holds = not goal_hit_holds
             else:
-                holds = None
-            extras.update(property_extras(goal_prop, holds))
-            if not enumerated:
-                extras["aborted"] = "prefix enumeration limit exceeded"
-        if timed_out:
-            extras["aborted"] = abort_note("time-budget", max_seconds=max_seconds)
-        result = AnalysisResult(
-            analyzer="unfolding",
-            net_name=net.name,
-            states=prefix.num_events,
-            edges=prefix.num_conditions,
-            deadlock=dead is not None,
-            time_seconds=elapsed[0],
-            witness=witness,
-            exhaustive=(exhaustive and not timed_out)
-            or (goal_fn is not None and found is not None),
-            extras=extras,
+                try:
+                    markings = prefix_markings(prefix, deadline=deadline)
+                except TimeLimitReached:
+                    raise
+                except RuntimeError:  # the enumeration limit
+                    enumerated, markings = False, set()
+                for marking in markings:
+                    if goal_fn(net.marking_names(marking)):
+                        found = marking
+                        break
+        except TimeLimitReached:
+            timed_out = True
+    witness = None
+    if goal_fn is None:
+        if dead is not None and want_witness:
+            witness = DeadlockWitness(marking=net.marking_names(dead), trace=())
+    elif found is not None and want_witness:
+        witness = DeadlockWitness(
+            marking=net.marking_names(found), trace=(), label=goal_label
         )
-        root.set(states=result.states, edges=result.edges)
-    record_result(result)
-    return result
+    extras: dict[str, object] = {
+        "conditions": prefix.num_conditions,
+        "cutoffs": prefix.num_cutoffs,
+    }
+    decided = goal_fn is not None and found is not None
+    if not exhaustive and not decided:
+        extras[names.ABORTED] = abort_note(
+            "state-budget", max_states=max_events
+        )
+    if goal_fn is not None:
+        if found is not None:
+            holds: bool | None = goal_hit_holds
+        elif exhaustive and enumerated and not timed_out:
+            holds = not goal_hit_holds
+        else:
+            holds = None
+        extras.update(property_extras(goal_prop, holds))
+        if not enumerated:
+            extras[names.ABORTED] = "prefix enumeration limit exceeded"
+    if timed_out:
+        extras[names.ABORTED] = abort_note(
+            "time-budget", max_seconds=max_seconds
+        )
+    return AnalysisResult(
+        analyzer="unfolding",
+        net_name=net.name,
+        states=prefix.num_events,
+        edges=prefix.num_conditions,
+        deadlock=dead is not None,
+        witness=witness,
+        exhaustive=(exhaustive and not timed_out) or decided,
+        extras=extras,
+    )

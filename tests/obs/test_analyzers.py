@@ -1,6 +1,7 @@
 """Cross-analyzer observability contract.
 
-Every analyzer — full, stubborn, gpo, symbolic, timed, unfolding — must,
+Every analyzer — full, stubborn, gpo, symbolic, timed, unfolding,
+parallel — must,
 when a tracer is active:
 
 * emit exactly one root ``analyze`` span carrying the canonical
@@ -18,6 +19,7 @@ from repro.obs import names
 from repro.obs.record import record_result
 from repro.obs.summary import build_summary
 from repro.obs.tracer import Tracer, activate
+from repro.search.parallel import analyze_parallel
 from repro.stubborn import analyze as stubborn_analyze
 from repro.symbolic import analyze as symbolic_analyze
 from repro.timed.tpn import TimedPetriNet
@@ -38,6 +40,7 @@ ANALYZE_FNS = {
     "symbolic": symbolic_analyze,
     "timed": timed_analyze_skeleton,
     "unfolding": unfolding_analyze,
+    "parallel": lambda net: analyze_parallel(net, workers="inline"),
 }
 
 

@@ -12,10 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from repro.analysis.reachability import analyze as full_analyze
 from repro.gpo.analysis import GpoOptions
 from repro.gpo.analysis import analyze as gpo_analyze
-from repro.models import nsdp
+from repro.models import nsdp, over
 from repro.stubborn.explorer import analyze as stubborn_analyze
+from repro.symbolic.reach import analyze as symbolic_analyze
 from repro.timed.reach import analyze as timed_analyze
 from repro.timed.tpn import TimedPetriNet
+from repro.unfolding.analysis import analyze as unfolding_analyze
 
 from ..conftest import state_machine_nets
 from ..oracle import oracle_explore_gpo
@@ -73,8 +75,17 @@ class TestUniformSemantics:
 
     def test_all_analyzers_absorb_time_overruns(self):
         net = nsdp(4)
-        for analyze in (full_analyze, stubborn_analyze, gpo_analyze):
-            result = analyze(net, max_seconds=0.0)
+        # Symbolic and unfolding give up by raising inside their fixpoint
+        # or prefix construction; the analyzer frame absorbs the overrun
+        # on a direct call just as it does for the driver-based ones.
+        for analyze, subject, seconds in (
+            (full_analyze, net, 0.0),
+            (stubborn_analyze, net, 0.0),
+            (gpo_analyze, net, 0.0),
+            (symbolic_analyze, nsdp(10), 0.05),
+            (unfolding_analyze, over(6), 0.0),
+        ):
+            result = analyze(subject, max_seconds=seconds)
             assert not result.exhaustive
             assert result.extras["aborted"] == "> 0s"
         timed = timed_analyze(TimedPetriNet.untimed(net), max_seconds=0.0)

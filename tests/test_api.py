@@ -8,7 +8,9 @@ from repro.models import choice_net, rw
 
 
 class TestVerify:
-    @pytest.mark.parametrize("method", ["gpo", "full", "stubborn", "symbolic"])
+    @pytest.mark.parametrize(
+        "method", ["gpo", "full", "stubborn", "symbolic", "unfolding", "parallel"]
+    )
     def test_methods_agree(self, method):
         assert verify(choice_net(), method=method).deadlock
         assert not verify(rw(2), method=method).deadlock
@@ -22,7 +24,8 @@ class TestVerify:
         assert result.deadlock and result.witness is None
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        # The message lists the engine registry verify() dispatches through.
+        with pytest.raises(ValueError, match="'parallel'"):
             verify(choice_net(), method="oracle")
 
 
