@@ -150,6 +150,8 @@ def _overrun_result(
         note = abort_note("time-budget", max_seconds=overrun.seconds)
         states = overrun.states_explored or 0
     extras: dict[str, Any] = {names.ABORTED: note}
+    if isinstance(overrun, TimeLimitReached):
+        extras.update(overrun.extras)
     if goal is not None:
         extras.update(property_extras(goal, None))
     return AnalysisResult(

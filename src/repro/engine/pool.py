@@ -244,7 +244,7 @@ class WorkerHandle:
         self._recv.close()
         max_seconds = self.job.budget.max_seconds
         note = (
-            f"> {max_seconds:.0f}s (hard preemption)"
+            f"> {max_seconds:g}s (hard preemption)"
             if status == "killed" and max_seconds is not None
             else "race lost"
             if status == "cancelled"

@@ -340,11 +340,12 @@ def back_map_witness(
     The witness trace is flattened (GPN multi-steps), mapped through the
     trace's expansions, replayed on ``net`` and — for deadlock witnesses —
     completed and *verified* dead, so the returned witness carries a
-    genuinely reachable original marking.  Witnesses whose trace cannot
-    replay as a sequence (symbolic: no trace at all; GPO: multi-steps
-    covering several conflicting scenarios) fall back to marking-level
-    mapping, which reconstructs and dead-verifies the original marking
-    but returns an empty trace.
+    genuinely reachable original marking.  Full, stubborn and unfolding
+    witnesses are classical firing sequences and always take this replay
+    path.  Witnesses whose trace cannot replay as a sequence (symbolic:
+    no trace at all; GPO: multi-steps covering several conflicting
+    scenarios) fall back to marking-level mapping, which reconstructs and
+    dead-verifies the original marking but returns an empty trace.
     """
     flat = flatten_trace(witness.trace)
     if not flat and witness.marking:

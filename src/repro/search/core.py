@@ -1,8 +1,9 @@
 """The generic instrumented exploration core.
 
 Full, stubborn-set, generalized partial-order and timed state-class
-exploration are *the same search* with different successor rules — the
-paper's Table 1 only compares them meaningfully because of that.  This
+exploration, and the walk over an unfolding prefix's cuts, are *the same
+search* with different successor rules — the paper's Table 1 only
+compares them meaningfully because of that.  This
 module is the single budgeted driver they all run on:
 
 * a :class:`SearchSpace` adapter supplies ``initial`` /
@@ -186,7 +187,7 @@ def abort_note(
     if stop_reason == "state-budget":
         return f"> {max_states} states"
     if stop_reason == "time-budget":
-        return f"> {max_seconds:.0f}s"
+        return f"> {max_seconds:g}s"
     if stop_reason == "observer":
         return "stopped by observer"
     return None

@@ -8,8 +8,8 @@ state — the target for a reachability question, a violation for an
 invariant — plus the bookkeeping to turn the search outcome into a
 three-valued verdict and a witness trace.  Every explicit explorer
 (full, timed; the stubborn explorer refuses non-deadlock properties)
-shares this one implementation, so early termination and witness
-extraction behave identically across analyzers.
+and the unfolding's cut walk share this one implementation, so early
+termination and witness extraction behave identically across analyzers.
 """
 
 from __future__ import annotations

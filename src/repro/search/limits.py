@@ -40,15 +40,21 @@ class TimeLimitReached(RuntimeError):
     """Raised when an analyzer exceeds its configured wall-time budget.
 
     ``states_explored`` carries the progress made before the deadline hit
-    (states, events or fixpoint iterations, depending on the analyzer).
+    (states, markings, events or cuts, depending on the analyzer);
+    ``extras`` holds analyzer-specific progress counters for the bounded
+    result's ``extras``.
     """
 
     def __init__(
-        self, seconds: float, states_explored: int | None = None
+        self,
+        seconds: float,
+        states_explored: int | None = None,
+        extras: dict[str, int] | None = None,
     ) -> None:
         super().__init__(f"time limit of {seconds:.1f}s exceeded")
         self.seconds = seconds
         self.states_explored = states_explored
+        self.extras = extras or {}
 
 
 class Deadline:
@@ -71,6 +77,10 @@ class Deadline:
     def of(cls, seconds: float | None) -> "Deadline | None":
         """Build a deadline, or ``None`` when no time budget applies."""
         return None if seconds is None else cls(seconds)
+
+    def remaining(self) -> float:
+        """Seconds left before the deadline (negative once it has passed)."""
+        return self.expires_at - time.perf_counter()
 
     def expired(self) -> bool:
         """True once the wall clock has passed the deadline."""

@@ -3,8 +3,8 @@
 Every analyzer reports counterexamples as :class:`DeadlockWitness` values;
 :func:`extract_witness` recovers the shortest trace to a recorded deadlock
 from any explored :class:`~repro.search.graph.ReachabilityGraph` whose
-states are classical markings.  Both the full and the stubborn-set
-explorers share this single implementation.
+states are classical markings.  The full and stubborn-set explorers and
+the unfolding's cut walk share this single implementation.
 """
 
 from __future__ import annotations

@@ -144,7 +144,9 @@ def reach(
     (the regime 1998-era SMV operated in for asynchronous models; see the
     ablation benchmarks).  ``max_seconds`` bounds wall time from the call,
     checked before every per-transition image; exceeding it raises
-    :class:`TimeLimitReached`.
+    :class:`TimeLimitReached` carrying the number of markings within the
+    completed iterations' distance of the initial marking (and that
+    iteration count in its ``extras``).
     """
     deadline = None if max_seconds is None else time.perf_counter() + max_seconds
     tracer = current_tracer()
@@ -184,9 +186,15 @@ def reach(
                 image = ZERO
                 for step in steps:
                     if deadline is not None and time.perf_counter() > deadline:
-                        # Progress is completed fixpoint iterations;
-                        # there is no explicit state count at abort.
-                        raise TimeLimitReached(max_seconds, iterations - 1)  # type: ignore[arg-type]
+                        # ``reached`` holds the markings within the
+                        # completed iterations' distance of m0.
+                        assert max_seconds is not None
+                        done = SymbolicResult(symnet, reached, iterations - 1, peak)
+                        raise TimeLimitReached(
+                            max_seconds,
+                            done.num_states,
+                            {"iterations": done.iterations},
+                        )
                     image = mgr.or_(image, step(frontier))
                 frontier = mgr.diff(image, reached)
                 reached = mgr.or_(reached, frontier)
@@ -215,7 +223,8 @@ def analyze(
     fixpoint depth.  The witness marking (when a deadlock exists) comes
     without a trace — recovering traces needs backward images, which the
     paper's comparison does not exercise.  A fixpoint cut by
-    ``max_seconds`` is a bounded, non-exhaustive result.
+    ``max_seconds`` is a bounded, non-exhaustive result whose ``states``
+    counts the markings within ``extras["iterations"]`` steps of m0.
 
     ``prop`` asks a property question: ``reachable(p)`` /
     ``invariant(p)`` become BDD emptiness tests against the reached set,

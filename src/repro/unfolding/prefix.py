@@ -15,10 +15,10 @@ Implemented here:
   queue ordered by local-configuration size (McMillan's adequate order);
   an event is a **cutoff** when some earlier event (or the empty
   configuration) already reaches the same marking with a strictly smaller
-  local configuration;
-* completeness/deadlock utilities used by the tests: enumerate the
-  markings represented by prefix configurations and check deadlock
-  freedom through the prefix.
+  local configuration.
+
+The walk over the prefix's configurations (deadlock, properties, the
+represented markings) lives in :mod:`repro.unfolding.analysis`.
 
 The implementation favors clarity over asymptotics (concurrency is
 decided from explicit causal pasts); it comfortably handles the

@@ -115,6 +115,9 @@ class TestBudgets:
     def test_abort_notes(self):
         assert abort_note("state-budget", max_states=10) == "> 10 states"
         assert abort_note("time-budget", max_seconds=0.0) == "> 0s"
+        assert abort_note("time-budget", max_seconds=0.05) == "> 0.05s"
+        assert abort_note("time-budget", max_seconds=0.1) == "> 0.1s"
+        assert abort_note("time-budget", max_seconds=30.0) == "> 30s"
         assert abort_note("observer") == "stopped by observer"
         assert abort_note(None) is None
         assert abort_note("deadlock") is None

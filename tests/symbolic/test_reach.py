@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.analysis import TimeLimitReached, reachable_markings
+from repro.analysis.reachability import KernelMarkingSpace
 from repro.models import (
     choice_net,
     concurrent_net,
@@ -91,6 +92,29 @@ class TestAnalyze:
     def test_time_limit(self):
         with pytest.raises(TimeLimitReached):
             reach(nsdp(6), max_seconds=0.0)
+
+    def test_expired_budget_reports_the_initial_marking(self):
+        result = analyze(nsdp(6), max_seconds=0.0)
+        assert not result.exhaustive
+        assert result.states == 1
+        assert result.extras["iterations"] == 0
+
+    def test_overrun_reports_the_reached_ball(self):
+        # The markings within k steps of m0, k the completed iterations.
+        net = nsdp(10)
+        result = analyze(net, max_seconds=0.05)
+        assert not result.exhaustive
+        radius = result.extras["iterations"]
+        space = KernelMarkingSpace(net)
+        ball = ring = {space.initial()}
+        for _ in range(radius):
+            ring = {
+                succ
+                for bits in ring
+                for _, succ in space.successors(bits, None)
+            } - ball
+            ball = ball | ring
+        assert result.states == len(ball)
 
     def test_time_limit_inside_an_iteration(self):
         # Symbolic NSDP(10) runs for seconds; the deadline is checked

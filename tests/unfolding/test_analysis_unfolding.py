@@ -6,7 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import has_deadlock, reachable_markings
-from repro.analysis.stats import Deadline, TimeLimitReached
+from repro.analysis.stats import (
+    Deadline,
+    ExplorationLimitReached,
+    TimeLimitReached,
+)
+from repro.engine.jobs import Budget, VerificationJob, execute_job
 from repro.models import (
     bounded_buffer,
     choice_net,
@@ -15,8 +20,13 @@ from repro.models import (
     over,
     rw,
 )
+from repro.reduce.trace import replay
 from repro.unfolding import analyze, deadlock_via_prefix, prefix_markings, unfold
+from repro.unfolding.analysis import LIMIT_NOTE
 from tests.conftest import state_machine_nets
+
+#: A property that holds on every RW instance (writers exclude each other).
+RW_MUTEX = "invariant(!(writing0 & writing1))"
 
 
 class TestCompleteness:
@@ -49,10 +59,12 @@ class TestDeadlock:
     )
     def test_verdicts(self, make, expected):
         net = make()
-        dead = deadlock_via_prefix(net, unfold(net))
-        assert (dead is not None) == expected
-        if dead is not None:
+        witness = deadlock_via_prefix(net, unfold(net))
+        assert (witness is not None) == expected
+        if witness is not None:
+            dead = net.marking_from_names(witness.marking)
             assert net.is_deadlocked(dead)
+            assert replay(net, witness.trace) == dead
 
 
 class TestAnalyze:
@@ -69,20 +81,47 @@ class TestAnalyze:
         assert not result.deadlock  # verdict withheld
 
     def test_time_budget_covers_the_prefix_walk(self):
-        # OVER(6) unfolds in a few milliseconds but its prefix walk takes
+        # RW(15) unfolds in a few milliseconds but its prefix walk takes
         # seconds; the budget must stop the walk, not just the unfolding.
         started = time.perf_counter()
-        result = analyze(over(6), max_seconds=0.1)
+        result = analyze(rw(15), max_seconds=0.1)
         assert time.perf_counter() - started < 0.5
         assert not result.exhaustive
         assert not result.deadlock  # verdict withheld
-        assert result.extras["aborted"] == "> 0s"
+        assert result.extras["aborted"] == "> 0.1s"
 
     def test_time_budget_covers_the_property_walk(self):
-        result = analyze(over(6), max_seconds=0.1, prop="reachable(req0)")
+        result = analyze(rw(15), max_seconds=0.1, prop=RW_MUTEX)
         assert not result.exhaustive
         assert result.extras["property_holds"] is None
         assert "aborted" in result.extras
+
+
+class TestEnumerationLimit:
+    """RW(15)'s complete prefix has more cuts than the walk may store."""
+
+    def test_deadlock_walk_is_bounded(self):
+        result = analyze(rw(15))
+        assert not result.exhaustive
+        assert not result.deadlock  # verdict withheld
+        assert result.extras["aborted"] == LIMIT_NOTE
+
+    def test_property_walk_is_bounded(self):
+        result = analyze(rw(15), prop=RW_MUTEX)
+        assert not result.exhaustive
+        assert result.extras["property_holds"] is None
+        assert result.extras["aborted"] == LIMIT_NOTE
+
+    def test_job_ends_in_the_bounded_result(self):
+        result = execute_job(VerificationJob(rw(15), "unfolding", Budget()))
+        assert not result.exhaustive
+        assert not result.deadlock
+        assert result.extras["aborted"] == LIMIT_NOTE
+
+    def test_prefix_markings_raises(self):
+        with pytest.raises(ExplorationLimitReached) as raised:
+            prefix_markings(unfold(rw(6)), limit=10)
+        assert raised.value.states_explored == 10
 
 
 class TestPrefixDeadline:
