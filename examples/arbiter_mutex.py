@@ -16,7 +16,8 @@ Run:  python examples/arbiter_mutex.py [n_users] [--dot]
 
 import sys
 
-from repro.analysis import analyze as full_analyze, explore, find_violation
+from repro import query
+from repro.analysis import analyze as full_analyze, explore
 from repro.gpo import analyze as gpo_analyze
 from repro.models import asat
 from repro.net import net_to_dot, reachability_to_dot
@@ -29,14 +30,12 @@ def main(n: int = 4, write_dot: bool = False):
     print(f"{net.name}: |P|={net.num_places} |T|={net.num_transitions}\n")
 
     # -- mutual exclusion --------------------------------------------------
-    critical = [f"use{i}" for i in range(n)]
-
-    def two_users_active(marking_names):
-        return sum(1 for p in critical if p in marking_names) >= 2
-
-    violation = find_violation(net, two_users_active, max_states=200_000)
-    print("mutual exclusion:", "VIOLATED" if violation else "holds")
-    assert violation is None
+    two_users_active = " | ".join(
+        f"(use{i} & use{j})" for i in range(n) for j in range(i + 1, n)
+    )
+    mutex = query(net, f"invariant(!({two_users_active}))")
+    print("mutual exclusion:", mutex.result.describe())
+    assert mutex.holds
 
     # -- deadlock freedom, all four ways ------------------------------------
     for analyzer in (full_analyze, stubborn_analyze, symbolic_analyze, gpo_analyze):

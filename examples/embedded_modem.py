@@ -18,8 +18,9 @@ Run:  python examples/embedded_modem.py [lanes]
 
 import sys
 
+from repro import query
 from repro.analysis import analyze as full_analyze
-from repro.gpo import MarkingConstraint, analyze as gpo_analyze, check_safety
+from repro.gpo import analyze as gpo_analyze
 from repro.models import modem
 from repro.stubborn import analyze as stubborn_analyze
 
@@ -52,17 +53,11 @@ def main(lanes: int = 3):
     # simultaneously full and empty, and the shared equalizer engine is
     # never training while a lane claims it is idle... for lane 0, whose
     # equalizer the engine pauses.
-    constraints = [
-        MarkingConstraint(marked=(f"ch{k}_l0_full", f"ch{k}_l0_empty"))
-        for k in (1, 2, 3)
-    ]
-    constraints.append(
-        MarkingConstraint(marked=("eq_training", "eq_idle_l0"))
-    )
-    safety = check_safety(fixed, constraints)
-    print(f"\nsafety [{' | '.join(c.describe() for c in constraints)}]:")
-    print(f"  {safety.describe()}")
-    assert safety.safe
+    bad = [f"(ch{k}_l0_full & ch{k}_l0_empty)" for k in (1, 2, 3)]
+    bad.append("(eq_training & eq_idle_l0)")
+    safety = query(fixed, f"invariant(!({' | '.join(bad)}))")
+    print(f"\n{safety.describe()}")
+    assert safety.holds
     print("\nThe retrain wedge is gone; the handshake invariants hold.")
 
 

@@ -33,14 +33,9 @@ Quickstart
 True
 """
 
-from repro.analysis import (
-    AnalysisResult,
-    DeadlockWitness,
-    ReachabilityGraph,
-    analyze,
-    explore,
-)
+from repro.analysis import AnalysisResult, DeadlockWitness, analyze, explore
 from repro.net import Marking, NetBuilder, PetriNet, parse_net, to_text
+from repro.search.graph import ReachabilityGraph
 
 __version__ = "1.0.0"
 

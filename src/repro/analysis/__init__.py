@@ -1,26 +1,17 @@
-"""Explicit-state analysis: full reachability, deadlock and property checks.
+"""Explicit-state analysis: full reachability and deadlock checks.
 
 This package is the paper's Section 2.2 substrate — conventional analysis —
 and the reference semantics every reduced analyzer is validated against.
+Marking properties (reachability, invariants, 1-safety) are asked through
+:mod:`repro.props` (``repro.query`` / ``analyze(prop=...)``).
 """
 
-from repro.analysis.deadlock import (
-    all_deadlocks,
-    deadlock_witnesses,
-    find_deadlock,
-    has_deadlock,
-)
-from repro.analysis.graph import ReachabilityGraph
-from repro.analysis.properties import (
-    PropertyReport,
-    check_invariant,
-    check_safeness,
+from repro.analysis.reachability import (
+    analyze,
     dead_transitions,
-    find_violation,
-    is_quasi_live,
-    mutual_exclusion_holds,
+    explore,
+    reachable_markings,
 )
-from repro.analysis.reachability import analyze, explore, reachable_markings
 from repro.analysis.stats import (
     AnalysisResult,
     DeadlockWitness,
@@ -30,24 +21,13 @@ from repro.analysis.stats import (
 )
 
 __all__ = [
-    "ReachabilityGraph",
     "explore",
     "analyze",
     "reachable_markings",
-    "has_deadlock",
-    "find_deadlock",
-    "all_deadlocks",
-    "deadlock_witnesses",
+    "dead_transitions",
     "AnalysisResult",
     "DeadlockWitness",
     "ExplorationLimitReached",
     "TimeLimitReached",
     "stopwatch",
-    "PropertyReport",
-    "check_safeness",
-    "check_invariant",
-    "dead_transitions",
-    "is_quasi_live",
-    "find_violation",
-    "mutual_exclusion_holds",
 ]

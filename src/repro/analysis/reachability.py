@@ -40,6 +40,7 @@ from repro.search.witness import extract_witness
 __all__ = [
     "KernelMarkingSpace",
     "analyze",
+    "dead_transitions",
     "explore",
     "extract_witness",
     "reachable_markings",
@@ -149,6 +150,19 @@ def reachable_markings(
     )
     raise_if_bounded(outcome, max_states=max_states, max_seconds=max_seconds)
     return {space.decode(bits) for bits in outcome.graph.states()}
+
+
+def dead_transitions(
+    net: PetriNet, *, max_states: int | None = None
+) -> list[str]:
+    """Transitions that label no edge of the full reachability graph.
+
+    These never fire in any reachable marking: the net is L1-live
+    (quasi-live) exactly when the list is empty.
+    """
+    graph = explore(net, max_states=max_states)
+    fired = {label for _, label, _ in graph.edges()}
+    return [t for t in net.transitions if t not in fired]
 
 
 @analyzer_frame("full")

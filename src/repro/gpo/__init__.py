@@ -41,21 +41,3 @@ __all__ = [
     "candidate_mcs",
     "single_enabled_mcs",
 ]
-
-from repro.gpo.safety import (
-    MarkingConstraint,
-    SafetyResult,
-    check_safety,
-    monitor_net,
-    mutual_exclusion_constraints,
-    screen_safety,
-)
-
-__all__ += [
-    "MarkingConstraint",
-    "SafetyResult",
-    "check_safety",
-    "screen_safety",
-    "monitor_net",
-    "mutual_exclusion_constraints",
-]

@@ -26,7 +26,7 @@ back-edges that trigger the anti-ignoring expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from repro.analysis.frame import analyzer_frame
 from repro.analysis.stats import AnalysisResult, DeadlockWitness
@@ -54,12 +54,12 @@ from repro.search.core import (
 from repro.search.core import explore as _drive
 from repro.search.graph import ReachabilityGraph
 
-if TYPE_CHECKING:
-    from repro.gpo.safety import MarkingConstraint
-
 __all__ = ["GpoOptions", "GpoResult", "GpnSpace", "explore_gpo", "analyze"]
 
 OnDeadlock = Literal["stop-branch", "stop-all", "continue"]
+
+#: One DNF disjunct: the places that must be marked, and must be unmarked.
+Cube = tuple[tuple[str, ...], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -120,26 +120,28 @@ class GpoResult:
         ]
 
     def screen(
-        self, constraints: Sequence["MarkingConstraint"]
-    ) -> tuple["MarkingConstraint", GpnState, BddFamily] | None:
-        """The first explored state with a scenario inside a constraint.
+        self, cubes: Sequence[Cube]
+    ) -> tuple[Cube, GpnState, BddFamily] | None:
+        """The first explored state with a scenario inside a cube.
 
-        States are scanned in discovery order and, per state, constraints
-        in the given order.  The scenarios placing ``state`` inside a
-        constraint are ``⋂ m(p_marked) ∩ r \\ ⋃ m(p_unmarked)``; every
-        one maps to a classically reachable marking, so a hit is a real
-        violation.  Returns ``(constraint, state, scenarios)`` or ``None``.
+        A cube is a ``(marked, unmarked)`` pair of place-name tuples, one
+        disjunct of :func:`repro.props.compile.dnf_literals`.  States are
+        scanned in discovery order and, per state, cubes in the given
+        order.  The scenarios placing ``state`` inside a cube are
+        ``⋂ m(p_marked) ∩ r \\ ⋃ m(p_unmarked)``; every one maps to a
+        classically reachable marking, so a hit is a real violation.
+        Returns ``(cube, state, scenarios)`` or ``None``.
         """
         place_id = self.gpn.net.place_id
         for state in self.graph.states():
-            for constraint in constraints:
+            for marked, unmarked in cubes:
                 family = state.valid
-                for place in constraint.marked:
+                for place in marked:
                     family = family.intersect(state.marking[place_id(place)])
-                for place in constraint.unmarked:
+                for place in unmarked:
                     family = family.difference(state.marking[place_id(place)])
                 if not family.is_empty():
-                    return constraint, state, family
+                    return (marked, unmarked), state, family
         return None
 
 
@@ -374,13 +376,11 @@ def analyze(
     fragments (``decides("gpo", ...)`` is ``False``; the portfolio runs
     GPO only as a refutation fast path).
     """
-    goal_constraints = None
+    cubes = None
     goal_hit_holds = True
     goal_label = "goal"
     goal_note: str | None = None
     if goal_prop is not None:
-        # Lazy import: repro.gpo.safety imports this module at top level.
-        from repro.gpo.safety import MarkingConstraint
         from repro.props.ast import Invariant, Not
         from repro.props.compile import dnf_literals
 
@@ -392,10 +392,6 @@ def analyze(
         cubes = dnf_literals(target)
         if cubes is None:
             goal_note = "screen skipped: target predicate has no small DNF"
-        else:
-            goal_constraints = [
-                MarkingConstraint(marked=m, unmarked=u) for m, u in cubes
-            ]
     options = GpoOptions(
         on_deadlock=on_deadlock,
         max_states=max_states,
@@ -404,8 +400,8 @@ def analyze(
     tracer = current_tracer()
     result, outcome, space = _explore(net, options)
     found = None
-    if goal_constraints is not None:
-        found = result.screen(goal_constraints)
+    if cubes is not None:
+        found = result.screen(cubes)
     witness = None
     if goal_prop is None:
         with tracer.span(names.SPAN_WITNESS):

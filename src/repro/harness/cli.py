@@ -6,8 +6,6 @@ Subcommands::
                 [--property PROP]    # decide PROP with one analyzer
     gpo query FILE PROP       # decide a property: structural layer, then
                               # a compat-filtered portfolio race
-    gpo safety FILE --bad "cs0 & cs1 & !lock" [--bad ...]
-    gpo reach FILE --target "a & b" [--method full|stubborn] [--order bfs|dfs]
     gpo race FILE [--methods gpo,symbolic] [--jobs N] [--property PROP]
                 [--shards N]  # N > 1 adds the sharded parallel explorer
     gpo table1 [--problems NSDP,RW] [--jobs N] [--portfolio] [--stats]
@@ -67,10 +65,10 @@ default ``<cache-dir>/events.jsonl`` when caching is on).
 accept ``--trace PATH`` / ``--metrics PATH`` to export a Chrome trace and
 Prometheus metrics from an otherwise normal run.
 
-``check`` / ``race`` / ``query`` / ``table1`` / ``bench-model`` /
-``reach`` accept ``--reduce[=auto|aggressive]``: the :mod:`repro.reduce`
-structural pre-pass shrinks the net with property-preserving rules before
-any exploration, and every verdict, witness and trace is mapped back to
+``check`` / ``race`` / ``query`` / ``table1`` / ``bench-model`` accept
+``--reduce[=auto|aggressive]``: the :mod:`repro.reduce` structural
+pre-pass shrinks the net with property-preserving rules before any
+exploration, and every verdict, witness and trace is mapped back to
 the original net (``gpo reduce`` shows what the pre-pass would do).
 
 ``serve`` runs the long-lived verification daemon (:mod:`repro.serve`):
@@ -169,151 +167,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if result.witness is not None:
         print(str(result.witness))
     return _verdict_exit(result)
-
-
-def _parse_constraint(text: str):
-    """Parse ``"a & b & !c"`` into a :class:`MarkingConstraint`."""
-    from repro.gpo import MarkingConstraint
-
-    marked: list[str] = []
-    unmarked: list[str] = []
-    for token in text.split("&"):
-        token = token.strip()
-        if not token:
-            raise ValueError(f"empty conjunct in constraint {text!r}")
-        if token.startswith("!"):
-            unmarked.append(token[1:].strip())
-        else:
-            marked.append(token)
-    return MarkingConstraint(marked=tuple(marked), unmarked=tuple(unmarked))
-
-
-def _parse_constraints(net, texts: list[str]):
-    """Parse ``--bad``/``--target`` conjunctions over ``net``'s places.
-
-    Returns the constraints, or ``None`` after reporting a malformed
-    conjunction or an unknown place on stderr (exit status 2).
-    """
-    try:
-        constraints = [_parse_constraint(text) for text in texts]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return None
-    for constraint in constraints:
-        for place in constraint.marked + constraint.unmarked:
-            if place not in net.place_index:
-                print(f"unknown place {place!r}", file=sys.stderr)
-                return None
-    return constraints
-
-
-def _cmd_safety(args: argparse.Namespace) -> int:
-    from repro.gpo import check_safety
-
-    net = _load(args.file)
-    constraints = _parse_constraints(net, args.bad)
-    if constraints is None:
-        return 2
-    result = check_safety(net, constraints, screen=not args.no_screen)
-    print(result.describe())
-    return 1 if not result.safe else 0
-
-
-def _cmd_reach(args: argparse.Namespace) -> int:
-    from repro.analysis.reachability import KernelMarkingSpace
-    from repro.props.ast import Or, Reachable
-    from repro.props.compat import unsupported_reason
-    from repro.search.query import find_state
-
-    net = _load(args.file)
-    constraints = _parse_constraints(net, args.target)
-    if constraints is None:
-        return 2
-
-    # The preservation matrix is the single authority on which reduced
-    # searches may take which questions: a reach target is a
-    # ``reachable(...)`` property, which the stubborn-set reduction does
-    # not preserve — refuse up front instead of searching inconclusively.
-    cubes = [constraint.predicate() for constraint in constraints]
-    target = Reachable(Or(tuple(cubes)) if len(cubes) > 1 else cubes[0])
-    reason = unsupported_reason(args.method, target)
-    if reason is not None:
-        print(
-            f"reach --method {args.method} refused: {reason}",
-            file=sys.stderr,
-        )
-        return 2
-
-    reduction = None
-    search_net = net
-    if args.reduce != "off":
-        # Reachability-preserving rules only, with every place the target
-        # predicates mention protected, so the hit test still sees them.
-        from repro.reduce import reduce_net
-
-        protect = sorted(
-            {
-                place
-                for constraint in constraints
-                for place in constraint.marked + constraint.unmarked
-            }
-        )
-        reduction = reduce_net(
-            net, level="reachability", mode=args.reduce, protect=protect
-        )
-        if reduction.reduced:
-            search_net = reduction.net
-            (pre_p, pre_t, pre_a), (post_p, post_t, post_a) = reduction.sizes()
-            print(
-                f"[reduce] reachability-preserving pre-pass: "
-                f"{pre_p}/{pre_t}/{pre_a} -> {post_p}/{post_t}/{post_a} "
-                "places/transitions/arcs"
-            )
-
-    space = KernelMarkingSpace(search_net)
-
-    def hit(bits: int) -> bool:
-        names = search_net.marking_names(space.decode(bits))
-        return any(c.holds_in(names) for c in constraints)
-
-    result = find_state(
-        space,
-        hit,
-        order=args.order,
-        max_states=args.max_states,
-        max_seconds=args.max_seconds,
-    )
-    stats = result.outcome.stats
-    searched = (
-        f"searched {result.outcome.graph.num_states} states "
-        f"({args.method}, {args.order})"
-    )
-    if result.reached:
-        print(f"REACHED  {searched}")
-        trace = result.trace
-        if (
-            trace is not None
-            and reduction is not None
-            and reduction.reduced
-        ):
-            from repro.reduce import BackMapError, replay
-
-            mapped = reduction.trace.map_sequence(trace)
-            try:
-                replay(net, mapped)
-            except BackMapError as exc:
-                print(f"[reduce] trace replay failed: {exc}", file=sys.stderr)
-                return 2
-            trace = mapped
-        if trace is not None:
-            print("trace: " + (" ; ".join(trace) or "<initial>"))
-        return 0
-    if result.exhaustive:
-        print(f"not reachable  {searched}")
-        return 1
-    print(f"INCONCLUSIVE ({result.outcome.stop_reason})  {searched}")
-    print(f"explored {stats.expanded} states at {stats.states_per_second:.0f}/s")
-    return 2
 
 
 def _engine_setup(
@@ -942,23 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(fn=_cmd_verify)
 
-    p_safety = sub.add_parser(
-        "safety", help="check that bad markings are unreachable"
-    )
-    p_safety.add_argument("file")
-    p_safety.add_argument(
-        "--bad",
-        action="append",
-        required=True,
-        help="bad-marking conjunction, e.g. 'cs0 & cs1 & !lock'; repeatable",
-    )
-    p_safety.add_argument(
-        "--no-screen",
-        action="store_true",
-        help="skip the GPO refutation screen (symbolic check only)",
-    )
-    p_safety.set_defaults(fn=_cmd_safety)
-
     def add_budget_flags(
         p: argparse.ArgumentParser,
         *,
@@ -1429,29 +1265,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_flight.set_defaults(fn=_cmd_debug_flight)
 
-    p_reach = sub.add_parser(
-        "reach",
-        help="on-the-fly marking-reachability query (early termination)",
-    )
-    p_reach.add_argument("file")
-    p_reach.add_argument(
-        "--target",
-        action="append",
-        required=True,
-        help="target (sub)marking conjunction, e.g. 'cs0 & cs1 & !lock'; "
-        "repeatable (any match terminates the search)",
-    )
-    p_reach.add_argument(
-        "--method",
-        choices=("full", "stubborn"),
-        default="full",
-        help="successor rule; stubborn is always refused (exit 2): the "
-        "reduction preserves deadlocks only, not reachability",
-    )
-    p_reach.add_argument("--order", choices=("bfs", "dfs"), default="bfs")
-    add_budget_flags(p_reach)
-    add_reduce_flag(p_reach)
-    p_reach.set_defaults(fn=_cmd_reach)
     return parser
 
 

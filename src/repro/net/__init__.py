@@ -7,7 +7,7 @@ parsers, DOT export, composition operators) a user needs to get their
 models into the analyzers.
 """
 
-from repro.net.compose import fuse_places, parallel, prefix, rename
+from repro.net.compose import fuse_places, monitor_net, parallel, prefix, rename
 from repro.net.dot import net_to_dot, reachability_to_dot
 from repro.net.exceptions import (
     DuplicateNodeError,
@@ -56,6 +56,7 @@ __all__ = [
     "prefix",
     "parallel",
     "fuse_places",
+    "monitor_net",
     "diagnose",
     "check_safe",
     "Diagnostics",

@@ -6,7 +6,10 @@ per-process fragments; these operators keep that assembly declarative:
 * :func:`rename` — systematic node renaming (prefixing process indices);
 * :func:`parallel` — disjoint union of component nets;
 * :func:`fuse_places` — merge groups of places into shared resources
-  (forks, locks, channels), the standard way to model synchronization.
+  (forks, locks, channels), the standard way to model synchronization;
+* :func:`monitor_net` — the paper's "safety reduces to deadlock"
+  instrumentation: a one-shot monitor transition that fires exactly when
+  a set of places is marked together.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.net.exceptions import NetStructureError, UnknownNodeError
 from repro.net.petrinet import PetriNet
 
-__all__ = ["rename", "parallel", "fuse_places", "prefix"]
+__all__ = ["rename", "parallel", "fuse_places", "prefix", "monitor_net"]
 
 
 def rename(
@@ -164,3 +167,39 @@ def fuse_places(
     ]
     marking = {old_to_new[p] for p in net.initial_marking}
     return PetriNet(net.name, new_places, net.transitions, pre, post, marking)
+
+
+def monitor_net(net: PetriNet, places: Iterable[str]) -> tuple[PetriNet, str]:
+    """Instrument ``net`` so marking all of ``places`` fires a monitor.
+
+    Adds a transition consuming every named place (plus a fresh
+    armed-monitor place) into a fresh goal place.  Only positive patterns
+    can be observed this way: nets test token presence, not absence.
+
+    Returns ``(instrumented_net, monitor_transition_name)``.  The property
+    "these places are never marked together" becomes "the monitor
+    transition never fires" — checkable with
+    :func:`repro.analysis.reachability.dead_transitions` or any
+    reachability analyzer.  The monitor *consumes* the bad marking; use it
+    for one-shot checks, not behaviour-preserving composition.
+    """
+    watched = []
+    for place in places:
+        if place not in net.place_index:
+            raise UnknownNodeError("place", place)
+        watched.append(net.place_index[place])
+    if not watched:
+        raise ValueError("monitor_net needs at least one place")
+    armed, goal = net.num_places, net.num_places + 1
+    monitor_name = "__monitor__fire"
+    return (
+        PetriNet(
+            net.name + "_monitored",
+            [*net.places, "__monitor__armed", "__monitor__goal"],
+            [*net.transitions, monitor_name],
+            [*net.pre_places, frozenset([*watched, armed])],
+            [*net.post_places, frozenset([goal])],
+            net.initial_marking | {armed},
+        ),
+        monitor_name,
+    )

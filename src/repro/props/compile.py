@@ -5,9 +5,8 @@ Three targets, one source AST:
 * :func:`predicate_fn` — a closure over ``frozenset[str]`` marking names,
   the form the explicit explorers' goal observers evaluate per state;
 * :func:`dnf_literals` — disjunctive normal form as (marked, unmarked)
-  tuples, the form the GPO screening algebra and the symbolic engine's
-  constraint BDDs consume (:class:`repro.gpo.safety.MarkingConstraint`
-  is built from exactly these pairs);
+  tuples, the cubes the GPO screening algebra
+  (:meth:`repro.gpo.analysis.GpoResult.screen`) consumes;
 * :func:`check_places` — early validation that every named place exists,
   so a typo fails at parse time instead of as a vacuously false query.
 

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.stats import AnalysisResult, DeadlockWitness
+from repro.analysis.stats import AnalysisResult, DeadlockWitness, stopwatch
 from repro.engine.cache import ResultCache
 from repro.engine.events import EventSink
 from repro.engine.jobs import Budget
 from repro.engine.portfolio import DEFAULT_PORTFOLIO, run_race
 from repro.net.petrinet import PetriNet
 from repro.net.validation import check_safe
+from repro.obs import names
 from repro.props.ast import Invariant, Property, Safe
 from repro.props.compile import check_places
 from repro.props.eval import (
@@ -45,6 +46,7 @@ from repro.props.eval import (
     run_property,
 )
 from repro.props.static import structural_verdict
+from repro.search.core import abort_note
 
 __all__ = ["Decision", "decide"]
 
@@ -77,32 +79,41 @@ class Decision:
         return "\n".join(lines)
 
 
-def _safety_walk(
-    net: PetriNet, *, max_states: int | None, prop: Property
-) -> AnalysisResult:
+def _safety_walk(net: PetriNet, *, budget: Budget, prop: Property) -> AnalysisResult:
     """Decide ``invariant(safe)`` by the bounded dynamic 1-safety check.
 
     (The structural certificate was already consulted by the static
-    layer; reaching here means it did not apply.)
+    layer; reaching here means it did not apply.)  The walk runs under
+    the job's state and wall-clock budget; an unsafe verdict carries the
+    firing sequence that ends in the violating firing.
     """
-    verdict = check_safe(
-        net, max_states=max_states if max_states is not None else 100_000
-    )
+    max_states = budget.max_states if budget.max_states is not None else 100_000
+    with stopwatch() as elapsed:
+        verdict = check_safe(
+            net, max_states=max_states, max_seconds=budget.max_seconds
+        )
     holds = {"safe": True, "unsafe": False}.get(verdict.status)
     witness = None
-    if holds is False and verdict.violation is not None:
+    if holds is False and verdict.marking is not None:
         witness = DeadlockWitness(
-            marking=frozenset(), trace=(), label=f"unsafe: {verdict.violation}"
+            marking=verdict.marking,
+            trace=verdict.trace,
+            label=f"unsafe: {verdict.violation}",
         )
     extras = property_extras(prop, holds)
     extras["engine"] = "safety-walk"
+    note = abort_note(
+        verdict.stop_reason, max_states=max_states, max_seconds=budget.max_seconds
+    )
+    if note is not None:
+        extras[names.ABORTED] = note
     return AnalysisResult(
         analyzer="safety-walk",
         net_name=net.name,
         states=verdict.states,
         edges=0,
         deadlock=False,
-        time_seconds=0.0,
+        time_seconds=elapsed[0],
         witness=witness,
         exhaustive=holds is not None,
         extras=extras,
@@ -164,7 +175,7 @@ def decide(
             if static is not None:
                 return static
         if isinstance(leaf, Invariant) and isinstance(leaf.pred, Safe):
-            return _safety_walk(net, max_states=budget.max_states, prop=leaf)
+            return _safety_walk(net, budget=budget, prop=leaf)
         outcome = run_race(
             net,
             methods=portfolio,

@@ -281,7 +281,7 @@ def parse_property(text: str) -> Property:
 
 
 def parse_predicate(text: str) -> Predicate:
-    """Parse ``text`` as a bare marking predicate (used by ``gpo reach``)."""
+    """Parse ``text`` as a bare marking predicate (no property wrapper)."""
     if not text or not text.strip():
         raise PropertyError("empty predicate")
     parser = _Parser(text)

@@ -24,7 +24,6 @@ from repro.search.limits import (
     stopwatch,
 )
 from repro.search.observers import MarkingQueryObserver, SearchObserver
-from repro.search.query import QueryResult, find_state
 from repro.search.witness import DeadlockWitness, extract_witness
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "DeadlockWitness",
     "ExplorationLimitReached",
     "MarkingQueryObserver",
-    "QueryResult",
     "ReachabilityGraph",
     "SearchContext",
     "SearchObserver",
@@ -44,7 +42,6 @@ __all__ = [
     "abort_note",
     "explore",
     "extract_witness",
-    "find_state",
     "raise_if_bounded",
     "stopwatch",
 ]

@@ -27,8 +27,8 @@ class DeadlockWitness:
     ``marking`` holds place *names*; ``trace`` holds transition names from
     the initial marking.  For GPN analysis the trace steps may be sets of
     simultaneously fired transitions rendered as ``{a,b}``.  ``label``
-    names what the marking witnesses (a deadlock by default; the safety
-    checker reuses the type for bad-marking witnesses).
+    names what the marking witnesses (a deadlock by default; property
+    goals and the ``safe`` walk reuse the type for their witnesses).
     """
 
     marking: frozenset[str]

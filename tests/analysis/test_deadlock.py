@@ -1,28 +1,23 @@
-"""Tests for on-the-fly deadlock detection helpers."""
+"""Deadlock questions on the kept path: the full analyzer's verdict and
+witness, and the deadlocks its explored graph records."""
 
-import pytest
-
-from repro.analysis import (
-    ExplorationLimitReached,
-    all_deadlocks,
-    deadlock_witnesses,
-    explore,
-    find_deadlock,
-    has_deadlock,
-)
+from repro.analysis import analyze, explore
 from repro.models import choice_net, concurrent_net, nsdp
+from repro.obs import names
+from repro.search.witness import extract_witness
 
 
 class TestFindDeadlock:
     def test_found_with_trace(self):
-        witness = find_deadlock(choice_net())
-        assert witness is not None
+        result = analyze(choice_net())
+        assert result.deadlock
+        witness = result.witness
         assert witness.marking in (frozenset({"p1"}), frozenset({"p2"}))
         assert witness.trace in (("a",), ("b",))
 
     def test_trace_replays(self):
         net = nsdp(3)
-        witness = find_deadlock(net)
+        witness = analyze(net).witness
         assert witness is not None
         marking = net.initial_marking
         for label in witness.trace:
@@ -31,12 +26,15 @@ class TestFindDeadlock:
         assert net.is_deadlocked(marking)
 
     def test_none_for_live_net(self, loop_net):
-        assert find_deadlock(loop_net) is None
-        assert not has_deadlock(loop_net)
+        result = analyze(loop_net)
+        assert not result.deadlock
+        assert result.exhaustive
+        assert result.witness is None
 
     def test_limit(self):
-        with pytest.raises(ExplorationLimitReached):
-            find_deadlock(nsdp(4), max_states=5)
+        result = analyze(nsdp(4), max_states=5)
+        assert not result.exhaustive
+        assert result.extras[names.ABORTED] == "> 5 states"
 
     def test_deadlock_at_initial(self):
         from repro.net import NetBuilder
@@ -46,7 +44,7 @@ class TestFindDeadlock:
         builder.place("need")
         builder.place("out")
         builder.transition("t", inputs=["stuck", "need"], outputs=["out"])
-        witness = find_deadlock(builder.build())
+        witness = analyze(builder.build()).witness
         assert witness is not None
         assert witness.trace == ()
         assert "at marking" in str(witness)
@@ -55,24 +53,28 @@ class TestFindDeadlock:
 class TestGraphQueries:
     def test_all_deadlocks_order(self):
         graph = explore(choice_net())
-        deadlocks = all_deadlocks(graph)
+        deadlocks = [s for s in graph.states() if s in graph.deadlocks]
         assert len(deadlocks) == 2
         assert set(deadlocks) == graph.deadlocks
 
     def test_witnesses_for_every_deadlock(self):
         net = choice_net()
         graph = explore(net)
-        witnesses = deadlock_witnesses(net, graph)
-        assert {w.marking for w in witnesses} == {
-            frozenset({"p1"}),
-            frozenset({"p2"}),
+        traces = {
+            net.marking_names(m): tuple(l for l, _ in graph.path_to(m))
+            for m in graph.deadlocks
+        }
+        assert traces == {
+            frozenset({"p1"}): ("a",),
+            frozenset({"p2"}): ("b",),
         }
 
     def test_witness_limit(self):
         net = choice_net()
-        graph = explore(net)
-        assert len(deadlock_witnesses(net, graph, limit=1)) == 1
+        witness = extract_witness(net, explore(net))
+        assert witness is not None
+        assert witness.trace in (("a",), ("b",))
 
     def test_terminal_state_is_deadlock(self):
         graph = explore(concurrent_net(2))
-        assert len(all_deadlocks(graph)) == 1
+        assert len(graph.deadlocks) == 1

@@ -1,6 +1,6 @@
 """Tests for the labelled reachability-graph structure."""
 
-from repro.analysis import ReachabilityGraph
+from repro.search.graph import ReachabilityGraph
 
 
 class TestBasics:

@@ -1,22 +1,17 @@
-"""Tests for behavioural property checks (safeness, liveness, invariants)."""
+"""Behavioural property checks (safeness, liveness, invariants) through
+:mod:`repro.props` (``repro.query``) and :func:`dead_transitions`."""
 
-from repro.analysis import (
-    check_invariant,
-    check_safeness,
-    dead_transitions,
-    find_violation,
-    is_quasi_live,
-    mutual_exclusion_holds,
-)
+from repro import query
+from repro.analysis import dead_transitions
+from repro.engine.jobs import Budget
 from repro.models import choice_net, figure3_net, nsdp, rw
 from repro.net import NetBuilder
 
 
 class TestSafeness:
     def test_safe_net(self):
-        report = check_safeness(nsdp(2))
-        assert report
-        assert "1-safe" in report.description
+        decision = query(nsdp(2), "safe")
+        assert decision.holds is True
 
     def test_unsafe_net_with_trace(self):
         builder = NetBuilder()
@@ -25,15 +20,19 @@ class TestSafeness:
         builder.place("r", marked=True)
         builder.transition("t", inputs=["p"], outputs=["q"])
         builder.transition("u", inputs=["q"], outputs=["r"])
-        report = check_safeness(builder.build())
-        assert not report
-        assert report.witness is not None
-        assert report.witness.trace == ("t", "u")
+        decision = query(builder.build(), "safe")
+        assert decision.holds is False
+        witness = decision.result.witness
+        assert witness is not None
+        assert witness.trace == ("t", "u")
+        assert witness.marking == frozenset({"q", "r"})
 
     def test_bounded(self):
-        report = check_safeness(nsdp(4), max_states=10)
-        assert report
-        assert "bounded" in report.description
+        decision = query(
+            nsdp(4), "safe", budget=Budget(max_states=10), use_static=False
+        )
+        assert decision.holds is None
+        assert decision.result.extras["aborted"] == "> 10 states"
 
 
 class TestLiveness:
@@ -43,46 +42,44 @@ class TestLiveness:
         assert dead == ["D"]
 
     def test_quasi_live_net(self):
-        assert is_quasi_live(rw(2))
+        assert dead_transitions(rw(2)) == []
 
     def test_quasi_live_report_lists_dead(self):
-        report = is_quasi_live(figure3_net())
-        assert not report
-        assert "D" in report.description
+        assert "D" in dead_transitions(figure3_net(), max_states=1000)
 
 
 class TestInvariants:
     def test_holding_invariant(self, loop_net):
-        report = check_invariant(
-            loop_net, lambda m: len(m) == 1, description="one token"
-        )
-        assert report
-        assert "holds" in report.description
+        decision = query(loop_net, "invariant((p0 | p1) & !(p0 & p1))")
+        assert decision.holds is True
 
     def test_violated_invariant_with_trace(self):
-        report = check_invariant(
-            choice_net(), lambda m: "p2" not in m, description="never p2"
-        )
-        assert not report
-        assert report.witness is not None
-        assert report.witness.trace == ("b",)
+        decision = query(choice_net(), "invariant(!p2)", methods=["full"])
+        assert decision.holds is False
+        assert decision.result.witness is not None
+        assert decision.result.witness.trace == ("b",)
 
     def test_find_violation(self):
-        witness = find_violation(choice_net(), lambda m: "p1" in m)
-        assert witness is not None
-        assert witness.trace == ("a",)
+        decision = query(choice_net(), "reachable(p1)", methods=["full"])
+        assert decision.holds is True
+        assert decision.result.witness.trace == ("a",)
 
     def test_find_violation_none(self, loop_net):
-        assert find_violation(loop_net, lambda m: "ghost" in m) is None
+        decision = query(
+            loop_net, "reachable(p0 & p1)", methods=["full"], use_static=False
+        )
+        assert decision.holds is False
+        assert decision.result.witness is None
 
 
 class TestMutualExclusion:
     def test_rw_writers_exclusive(self):
-        net = rw(3)
-        report = mutual_exclusion_holds(
-            net, [f"writing{i}" for i in range(3)]
+        decision = query(
+            rw(3),
+            "invariant(!((writing0 & writing1) | (writing0 & writing2)"
+            " | (writing1 & writing2)))",
         )
-        assert report
+        assert decision.holds is True
 
     def test_violation_detected(self):
         # Two independent tokens can mark both "critical" places.
@@ -93,6 +90,6 @@ class TestMutualExclusion:
         builder.place("csb")
         builder.transition("ta", inputs=["a"], outputs=["csa"])
         builder.transition("tb", inputs=["b"], outputs=["csb"])
-        report = mutual_exclusion_holds(builder.build(), ["csa", "csb"])
-        assert not report
-        assert report.witness is not None
+        decision = query(builder.build(), "invariant(!(csa & csb))")
+        assert decision.holds is False
+        assert decision.result.witness is not None

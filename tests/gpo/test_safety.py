@@ -1,167 +1,130 @@
-"""Tests for safety-property checking (screen + certification + monitor)."""
+"""Safety properties (§4): the GPO screen, the planner, and the monitor.
+
+A bad-marking question is an ``invariant(!(...))`` property.  GPO's
+``analyze(prop=...)`` screens the explored GPN states (a hit is a real
+violation, a clean screen proves nothing); ``repro.query`` decides it
+(structural layer, then the portfolio); :func:`repro.net.monitor_net`
+is the paper's "safety reduces to deadlock" instrumentation.
+"""
 
 import pytest
 
+from repro import query
 from repro.analysis import explore
-from repro.gpo import (
-    MarkingConstraint,
-    check_safety,
-    monitor_net,
-    mutual_exclusion_constraints,
-    screen_safety,
-)
+from repro.gpo import analyze as gpo_analyze
 from repro.models import asat, choice_net, conflict_pairs_net, nsdp, rw
-
-
-class TestMarkingConstraint:
-    def test_describe(self):
-        c = MarkingConstraint(marked=("a", "b"), unmarked=("c",))
-        assert c.describe() == "a & b & !c"
-        assert MarkingConstraint().describe() == "true"
-
-    def test_holds_in(self):
-        c = MarkingConstraint(marked=("a",), unmarked=("b",))
-        assert c.holds_in(frozenset({"a"}))
-        assert not c.holds_in(frozenset({"a", "b"}))
-        assert not c.holds_in(frozenset({"c"}))
-
-    def test_mutual_exclusion_constraints(self):
-        constraints = mutual_exclusion_constraints(["z", "x", "y"])
-        assert len(constraints) == 3
-        assert all(len(c.marked) == 2 for c in constraints)
+from repro.net import monitor_net
+from repro.net.exceptions import UnknownNodeError
 
 
 class TestScreen:
     def test_violation_found_with_real_witness(self):
         net = rw(3)
-        result = screen_safety(
-            net, [MarkingConstraint(marked=("reading0", "reading1"))]
-        )
-        assert result is not None and not result.safe
+        result = gpo_analyze(net, prop="invariant(!(reading0 & reading1))")
+        assert result.property_holds is False
+        assert result.extras["screen"] == "hit"
         # The witness marking must be classically reachable.
         reachable = set(explore(net).states())
         assert net.marking_from_names(result.witness.marking) in reachable
 
     def test_clean_screen_returns_none(self):
-        result = screen_safety(
-            rw(2), [MarkingConstraint(marked=("writing0", "writing1"))]
-        )
-        assert result is None
+        result = gpo_analyze(rw(2), prop="invariant(!(writing0 & writing1))")
+        assert result.property_holds is None
+        assert result.extras["screen"] == "clean"
+        assert result.witness is None
 
     def test_screen_incompleteness_pinned(self):
         # The reduction skips the intermediate marking {a_out0, c1}: the
-        # screen must stay silent even though the marking is reachable.
-        # (This is exactly why check_safety certifies symbolically.)
+        # screen must stay silent even though the marking is reachable,
+        # and the planner must still decide the question.
         net = conflict_pairs_net(2)
-        bad = MarkingConstraint(marked=("a_out0", "c1"))
-        assert screen_safety(net, [bad]) is None
+        text = "invariant(!(a_out0 & c1))"
+        screened = gpo_analyze(net, prop=text)
+        assert screened.property_holds is None
+        assert screened.extras["screen"] == "clean"
+        assert query(net, text).holds is False
 
 
 class TestCheckSafety:
     def test_certified_safe(self):
-        result = check_safety(
+        decision = query(
             rw(3),
-            mutual_exclusion_constraints(
-                [f"writing{i}" for i in range(3)]
-            ),
+            "invariant(!((writing0 & writing1) | (writing0 & writing2)"
+            " | (writing1 & writing2)))",
         )
-        assert result.safe
-        assert result.extras.get("certified")
+        assert decision.holds is True
+        assert decision.result.exhaustive
 
     def test_screen_fast_path(self):
-        result = check_safety(
-            rw(3), [MarkingConstraint(marked=("reading0", "reading2"))]
-        )
-        assert not result.safe
-        assert result.extras["engine"] == "gpo-screen"
-        assert result.witness.trace  # screen witnesses carry traces
+        decision = query(rw(3), "invariant(!(reading0 & reading2))")
+        assert decision.holds is False
+        assert decision.result.analyzer == "gpo"
+        assert decision.result.witness.trace  # screen witnesses carry traces
 
     def test_symbolic_catches_screen_blind_spot(self):
-        net = conflict_pairs_net(2)
-        bad = MarkingConstraint(marked=("a_out0", "c1"))
-        result = check_safety(net, [bad])
-        assert not result.safe
-        assert result.extras["engine"] == "symbolic"
+        decision = query(conflict_pairs_net(2), "invariant(!(a_out0 & c1))")
+        assert decision.holds is False
+        assert decision.result.analyzer == "symbolic"
+        assert decision.result.witness.marking == frozenset({"a_out0", "c1"})
 
     def test_unmarked_constraints(self):
         # "a_out0 marked while c0 unmarked" is reachable (fire A0).
         net = conflict_pairs_net(1)
-        result = check_safety(
-            net,
-            [MarkingConstraint(marked=("a_out0",), unmarked=("c0",))],
-        )
-        assert not result.safe
+        assert query(net, "invariant(!(a_out0 & !c0))").holds is False
         # but "a_out0 and b_out0 together" is not
-        result = check_safety(
-            net, [MarkingConstraint(marked=("a_out0", "b_out0"))]
-        )
-        assert result.safe
+        assert query(net, "invariant(!(a_out0 & b_out0))").holds is True
 
     def test_asat_mutex(self):
-        result = check_safety(
-            asat(4),
-            mutual_exclusion_constraints([f"use{i}" for i in range(4)]),
+        pairs = " | ".join(
+            f"(use{i} & use{j})" for i in range(4) for j in range(i + 1, 4)
         )
-        assert result.safe
+        assert query(asat(4), f"invariant(!({pairs}))").holds is True
 
     def test_nsdp_fork_consistency(self):
         # A fork cannot be on the table while its owner eats.
-        result = check_safety(
-            nsdp(3), [MarkingConstraint(marked=("fork0", "eat0"))]
-        )
-        assert result.safe
+        assert query(nsdp(3), "invariant(!(fork0 & eat0))").holds is True
 
     def test_describe(self):
-        safe = check_safety(
-            rw(2), [MarkingConstraint(marked=("writing0", "writing1"))]
-        )
-        assert "safe" in safe.describe()
-        unsafe = check_safety(
-            rw(2), [MarkingConstraint(marked=("reading0",))]
-        )
-        assert "UNSAFE" in unsafe.describe()
-        assert bool(safe) and not bool(unsafe)
+        safe = query(rw(2), "invariant(!(writing0 & writing1))")
+        assert "property holds" in safe.describe()
+        unsafe = query(rw(2), "invariant(!reading0)")
+        assert "property violated" in unsafe.describe()
+        assert safe.holds is True and unsafe.holds is False
 
     def test_agrees_with_explicit_model_checking(self):
-        from repro.analysis import find_violation
-
         net = nsdp(2)
+        markings = [net.marking_names(m) for m in explore(net).states()]
         patterns = [
-            MarkingConstraint(marked=("eat0", "eat1")),
-            MarkingConstraint(marked=("hasL0", "hasR0")),
-            MarkingConstraint(marked=("eat0", "fork1")),
-            MarkingConstraint(marked=("think0", "think1")),
+            {"eat0", "eat1"},
+            {"hasL0", "hasR0"},
+            {"eat0", "fork1"},
+            {"think0", "think1"},
         ]
-        for constraint in patterns:
-            explicit = find_violation(net, constraint.holds_in)
-            ours = check_safety(net, [constraint])
-            assert ours.safe == (explicit is None), constraint.describe()
+        for pattern in patterns:
+            explicit = any(pattern <= marking for marking in markings)
+            text = "invariant(!(" + " & ".join(sorted(pattern)) + "))"
+            assert query(net, text).holds == (not explicit), text
 
 
 class TestMonitorNet:
     def test_monitor_fires_iff_reachable(self):
-        net = choice_net()
-        instrumented, monitor = monitor_net(
-            net, MarkingConstraint(marked=("p1",))
-        )
+        instrumented, monitor = monitor_net(choice_net(), ["p1"])
         graph = explore(instrumented)
         assert any(label == monitor for _, label, _ in graph.edges())
 
     def test_monitor_silent_when_unreachable(self):
         net = conflict_pairs_net(1)
-        instrumented, monitor = monitor_net(
-            net, MarkingConstraint(marked=("a_out0", "b_out0"))
-        )
+        instrumented, monitor = monitor_net(net, ["a_out0", "b_out0"])
         graph = explore(instrumented)
         assert not any(label == monitor for _, label, _ in graph.edges())
 
     def test_rejects_negative_constraints(self):
+        # A transition tests presence, not absence: a negated place names
+        # no place to watch, and an empty pattern watches nothing.
+        with pytest.raises(UnknownNodeError):
+            monitor_net(choice_net(), ["!p1"])
         with pytest.raises(ValueError):
-            monitor_net(
-                choice_net(), MarkingConstraint(unmarked=("p1",))
-            )
-        with pytest.raises(ValueError):
-            monitor_net(choice_net(), MarkingConstraint())
+            monitor_net(choice_net(), [])
 
     def test_monitor_visible_to_gpo(self):
         # The instrumented monitor participates in the conflict structure,
@@ -169,9 +132,7 @@ class TestMonitorNet:
         from repro.gpo import GpoOptions, explore_gpo
 
         net = conflict_pairs_net(2)
-        instrumented, monitor = monitor_net(
-            net, MarkingConstraint(marked=("a_out0", "c1"))
-        )
+        instrumented, monitor = monitor_net(net, ["a_out0", "c1"])
         result = explore_gpo(
             instrumented, GpoOptions(on_deadlock="continue")
         )

@@ -67,6 +67,9 @@ class TestVerify:
 
 
 class TestSafety:
+    """Bad-marking questions through ``gpo query`` (exit 0 holds /
+    1 violated / 2 undecided or refused)."""
+
     @pytest.fixture
     def rw_file(self, tmp_path):
         from repro.models import rw
@@ -76,40 +79,39 @@ class TestSafety:
         return path
 
     def test_safe_property(self, rw_file, capsys):
-        code = main(
-            ["safety", rw_file, "--bad", "writing0 & writing1"]
-        )
+        code = main(["query", rw_file, "invariant(!(writing0 & writing1))"])
         assert code == 0
-        assert "safe" in capsys.readouterr().out
+        assert "property holds" in capsys.readouterr().out
 
     def test_unsafe_property_exit_code(self, rw_file, capsys):
-        code = main(["safety", rw_file, "--bad", "reading0 & reading1"])
+        code = main(["query", rw_file, "invariant(!(reading0 & reading1))"])
         assert code == 1
-        assert "UNSAFE" in capsys.readouterr().out
+        assert "property violated" in capsys.readouterr().out
 
     def test_negated_places(self, rw_file, capsys):
         code = main(
-            ["safety", rw_file, "--bad", "writing0 & !controller"]
+            ["query", rw_file, "invariant(!(writing0 & !controller))"]
         )
         assert code == 0  # controller is always marked
 
     def test_unknown_place_rejected(self, rw_file, capsys):
-        assert main(["safety", rw_file, "--bad", "ghost"]) == 2
+        assert main(["query", rw_file, "invariant(!ghost)"]) == 2
 
     def test_empty_conjunct_rejected(self, rw_file, capsys):
-        assert main(["safety", rw_file, "--bad", "a & & b"]) == 2
+        assert main(["query", rw_file, "invariant(!(a & & b))"]) == 2
 
     def test_no_screen_mode(self, rw_file, capsys):
         code = main(
             [
-                "safety",
+                "query",
                 rw_file,
-                "--no-screen",
-                "--bad",
-                "reading0 & reading1",
+                "invariant(!(reading0 & reading1))",
+                "--methods",
+                "symbolic",
             ]
         )
         assert code == 1
+        assert "symbolic: property violated" in capsys.readouterr().out
 
 
 class TestTable1:
@@ -479,80 +481,12 @@ class TestQuery:
     def test_reach_stubborn_refuses(self, nsdp_file, capsys):
         code = main(
             [
-                "reach",
+                "query",
                 nsdp_file,
-                "--target",
-                "eat0",
-                "--method",
+                "reachable(eat0)",
+                "--methods",
                 "stubborn",
             ]
         )
         assert code == 2
-        assert "deadlocks only" in capsys.readouterr().err
-
-
-class TestReachGolden:
-    """``gpo reach`` output on NSDP(4), pinned byte for byte."""
-
-    DFS_EAT0_TRACE = (
-        "takeR'3 ; takeL'3 ; dropR'3 ; takeL2 ; takeL1 ; dropL'3 ; "
-        "takeR'3 ; takeL'3 ; dropL3 ; takeR2 ; dropR'2 ; dropR3 ; "
-        "takeR'3 ; takeL'3 ; dropR'3 ; takeL0 ; dropL'2 ; dropL'3 ; "
-        "takeL3 ; takeR1 ; dropR'1 ; takeL2 ; dropL'1 ; takeR0"
-    )
-
-    @pytest.fixture
-    def nsdp4_file(self, tmp_path):
-        from repro.models import nsdp
-
-        path = str(tmp_path / "nsdp4.net")
-        save_net(nsdp(4), path)
-        return path
-
-    @pytest.mark.parametrize(
-        "target, extra, code, out",
-        [
-            (
-                "eat0 & eat1",
-                ["--order", "bfs"],
-                1,
-                "not reachable  searched 341 states (full, bfs)\n",
-            ),
-            (
-                "eat0 & eat1",
-                ["--order", "dfs"],
-                1,
-                "not reachable  searched 341 states (full, dfs)\n",
-            ),
-            (
-                "eat0",
-                ["--order", "bfs"],
-                0,
-                "REACHED  searched 10 states (full, bfs)\n"
-                "trace: takeL0 ; takeR0\n",
-            ),
-            (
-                "eat0",
-                ["--order", "dfs"],
-                0,
-                "REACHED  searched 63 states (full, dfs)\n"
-                f"trace: {DFS_EAT0_TRACE}\n",
-            ),
-            (
-                "eat0 & eat1",
-                ["--reduce"],
-                1,
-                "not reachable  searched 341 states (full, bfs)\n",
-            ),
-            (
-                "eat0",
-                ["--reduce"],
-                0,
-                "REACHED  searched 10 states (full, bfs)\n"
-                "trace: takeL0 ; takeR0\n",
-            ),
-        ],
-    )
-    def test_output_pinned(self, nsdp4_file, capsys, target, extra, code, out):
-        assert main(["reach", nsdp4_file, "--target", target, *extra]) == code
-        assert capsys.readouterr().out == out
+        assert "deadlocks only" in capsys.readouterr().out

@@ -2,9 +2,10 @@
 
 The files under ``goldens/`` were recorded while the GPN semantics still
 ran on frozenset scenario families; GPO now runs on BDD families only, so
-these pin that the representation never shows in the output.  Only the
-``time=...`` figure of a ``safe`` verdict varies between runs and is
-masked.
+these pin that the representation never shows in the output.  The
+``safety_*`` and ``reach_*`` goldens pin ``gpo query``'s verdict and
+witness lines for bad-marking invariants and reachability targets.  Only the ``time=...``
+and ``states_per_second=...`` figures vary between runs and are masked.
 """
 
 import re
@@ -26,7 +27,8 @@ def golden(name: str) -> str:
 
 
 def mask_time(text: str) -> str:
-    return re.sub(r"time=\d+\.\d+s", "time=<t>s", text)
+    text = re.sub(r"time=\d+\.\d+s", "time=<t>s", text)
+    return re.sub(r"states_per_second=[\d.]+", "states_per_second=<r>", text)
 
 
 def test_figure3_stdout(capsys):
@@ -44,47 +46,95 @@ def test_scenario_semantics_example_stdout(capsys):
 @pytest.fixture(scope="module")
 def nets(tmp_path_factory):
     root = tmp_path_factory.mktemp("nets")
-    paths = {"rw2": str(root / "rw2.net"), "nsdp3": str(root / "nsdp3.net")}
+    paths = {
+        "rw2": str(root / "rw2.net"),
+        "nsdp3": str(root / "nsdp3.net"),
+        "nsdp4": str(root / "nsdp4.net"),
+    }
     save_net(rw(2), paths["rw2"])
     save_net(nsdp(3), paths["nsdp3"])
+    save_net(nsdp(4), paths["nsdp4"])
     return paths
 
 
-#: golden file -> (net, ``gpo safety`` flags, exit status)
+#: golden file -> (net, ``gpo query`` arguments, exit status) for
+#: bad-marking safety questions: ``invariant(!(bad1 | bad2 ...))``,
+#: decided by the planner (GPO screen first) or, for the ``no_screen``
+#: cases, by the exact symbolic check alone.
 SAFETY_CASES = {
-    "safety_rw2_safe.txt": ("rw2", ["--bad", "writing0 & writing1"], 0),
+    "safety_rw2_safe.txt": ("rw2", ["invariant(!(writing0 & writing1))"], 0),
     "safety_rw2_screen.txt": (
         "rw2",
-        ["--bad", "writing0 & !controller", "--bad", "reading0 & reading1"],
+        ["invariant(!((writing0 & !controller) | (reading0 & reading1)))"],
         1,
     ),
     "safety_rw2_no_screen.txt": (
         "rw2",
         [
-            "--no-screen",
-            "--bad",
-            "writing0 & !controller",
-            "--bad",
-            "reading0 & reading1",
+            "invariant(!((writing0 & !controller) | (reading0 & reading1)))",
+            "--methods",
+            "symbolic",
         ],
         1,
     ),
     "safety_nsdp3_screen.txt": (
         "nsdp3",
-        ["--bad", "eat0 & !think1", "--bad", "hasL0 & hasL1"],
+        ["invariant(!((eat0 & !think1) | (hasL0 & hasL1)))"],
         1,
     ),
     "safety_nsdp3_no_screen.txt": (
         "nsdp3",
-        ["--no-screen", "--bad", "eat0 & !think1"],
+        ["invariant(!(eat0 & !think1))", "--methods", "symbolic"],
         1,
     ),
 }
 
+#: golden file -> (net, ``gpo query`` arguments, exit status) for
+#: reachability targets answered by full breadth-first search, with
+#: ``--no-static`` where the structural layer would otherwise answer at
+#: zero states.
+REACH_CASES = {
+    "reach_nsdp4_eat0_eat1.txt": (
+        "nsdp4",
+        ["reachable(eat0 & eat1)", "--methods", "full", "--no-static"],
+        1,
+    ),
+    "reach_nsdp4_eat0.txt": (
+        "nsdp4",
+        ["reachable(eat0)", "--methods", "full"],
+        0,
+    ),
+    "reach_nsdp4_eat0_eat1_reduce.txt": (
+        "nsdp4",
+        [
+            "reachable(eat0 & eat1)",
+            "--methods",
+            "full",
+            "--no-static",
+            "--reduce",
+        ],
+        1,
+    ),
+    "reach_nsdp4_eat0_reduce.txt": (
+        "nsdp4",
+        ["reachable(eat0)", "--methods", "full", "--reduce"],
+        0,
+    ),
+}
+
+
+def _query_stdout(nets, capsys, name, case):
+    net, args, code = case
+    assert main(["query", nets[net], *args, "--no-cache"]) == code
+    out = capsys.readouterr().out
+    assert mask_time(out) == mask_time(golden(name))
+
 
 @pytest.mark.parametrize("name", sorted(SAFETY_CASES))
 def test_safety_stdout(nets, name, capsys):
-    net, flags, code = SAFETY_CASES[name]
-    assert main(["safety", nets[net], *flags]) == code
-    out = capsys.readouterr().out
-    assert mask_time(out) == mask_time(golden(name))
+    _query_stdout(nets, capsys, name, SAFETY_CASES[name])
+
+
+@pytest.mark.parametrize("name", sorted(REACH_CASES))
+def test_reach_stdout(nets, name, capsys):
+    _query_stdout(nets, capsys, name, REACH_CASES[name])

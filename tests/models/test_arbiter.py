@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis import explore, has_deadlock
+from repro import query
+from repro.analysis import analyze, dead_transitions, explore
 from repro.models import asat
 from repro.net import check_safe, diagnose
-from repro.analysis.properties import mutual_exclusion_holds
 
 
 class TestStructure:
@@ -31,18 +31,18 @@ class TestStructure:
 class TestBehaviour:
     @pytest.mark.parametrize("n", [2, 4])
     def test_deadlock_free(self, n):
-        assert not has_deadlock(asat(n))
+        assert not analyze(asat(n)).deadlock
 
     def test_mutual_exclusion(self):
         # The arbiter's whole point: at most one user in its 'use' place.
         net = asat(4)
-        report = mutual_exclusion_holds(net, [f"use{i}" for i in range(4)])
-        assert report
+        pairs = " | ".join(
+            f"(use{i} & use{j})" for i in range(4) for j in range(i + 1, 4)
+        )
+        assert query(net, f"invariant(!({pairs}))").holds is True
 
     def test_every_user_can_acquire(self):
-        from repro.analysis import is_quasi_live
-
-        assert is_quasi_live(asat(2))
+        assert dead_transitions(asat(2)) == []
 
     def test_state_explosion_shape(self):
         # Roughly two orders of magnitude per doubling (paper: 88 -> 7822).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import explore, find_deadlock
+from repro.analysis import analyze, explore
 from repro.models import over
 from repro.net import check_safe
 
@@ -33,7 +33,7 @@ class TestBehaviour:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_deadlock_reachable(self, n):
-        assert find_deadlock(over(n)) is not None
+        assert analyze(over(n)).deadlock
 
     def test_successful_overtake_cycle(self):
         # One car overtakes; everything returns to the initial state.

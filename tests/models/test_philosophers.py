@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import explore, find_deadlock
+from repro.analysis import analyze, explore
 from repro.models import nsdp
 from repro.net import check_safe
 
@@ -33,8 +33,8 @@ class TestBehaviour:
     @pytest.mark.parametrize("order", ["either", "left-first"])
     def test_deadlocks(self, order):
         # The circular wait: everybody holds one fork.
-        witness = find_deadlock(nsdp(3, order=order))
-        assert witness is not None
+        result = analyze(nsdp(3, order=order))
+        assert result.deadlock and result.witness is not None
 
     def test_deadlock_is_circular_wait(self):
         net = nsdp(3, order="left-first")

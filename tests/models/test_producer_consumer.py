@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import explore, has_deadlock
+from repro.analysis import analyze, explore
 from repro.models import bounded_buffer
 from repro.net import check_safe
 
@@ -29,7 +29,8 @@ class TestBehaviour:
         [(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2)],
     )
     def test_deadlock_free(self, producers, consumers, capacity):
-        assert not has_deadlock(bounded_buffer(producers, consumers, capacity))
+        net = bounded_buffer(producers, consumers, capacity)
+        assert not analyze(net).deadlock
 
     def test_item_flows_through(self):
         net = bounded_buffer(1, 1, 1)

@@ -51,10 +51,10 @@ class TestStateMachineProduct:
 
     def test_sometimes_deadlocks(self):
         # The generator must produce both verdicts to be a useful test bed.
-        from repro.analysis import has_deadlock
+        from repro.analysis import analyze
 
         verdicts = {
-            has_deadlock(random_state_machine_product(random.Random(seed)))
+            analyze(random_state_machine_product(random.Random(seed))).deadlock
             for seed in range(30)
         }
         assert verdicts == {True, False}

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import explore, has_deadlock
-from repro.analysis.properties import mutual_exclusion_holds
+from repro import query
+from repro.analysis import analyze, explore
 from repro.models import rw
 from repro.net import check_safe, StructuralInfo
 from repro.stubborn import explore_reduced
@@ -38,26 +38,24 @@ class TestStructure:
 class TestBehaviour:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_deadlock_free(self, n):
-        assert not has_deadlock(rw(n))
+        assert not analyze(rw(n)).deadlock
 
     def test_writer_exclusive(self):
         net = rw(3)
-        report = mutual_exclusion_holds(
-            net, [f"writing{i}" for i in range(3)]
+        decision = query(
+            net,
+            "invariant(!((writing0 & writing1) | (writing0 & writing2)"
+            " | (writing1 & writing2)))",
         )
-        assert report
+        assert decision.holds is True
 
     def test_writer_excludes_readers(self):
         net = rw(3)
 
-        def ok(names):
-            writing = any(n.startswith("writing") for n in names)
-            reading = any(n.startswith("reading") for n in names)
-            return not (writing and reading)
-
-        from repro.analysis import check_invariant
-
-        assert check_invariant(net, ok, description="w/r exclusion")
+        writing = " | ".join(f"writing{i}" for i in range(3))
+        reading = " | ".join(f"reading{i}" for i in range(3))
+        decision = query(net, f"invariant(!(({writing}) & ({reading})))")
+        assert decision.holds is True
 
     def test_concurrent_readers_allowed(self):
         net = rw(3)

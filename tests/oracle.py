@@ -124,25 +124,38 @@ def oracle_explore_reduced(
 
 
 def oracle_check_safe(net: PetriNet, *, max_states: int = 100_000) -> SafetyCheck:
-    """Bounded 1-safety walk on frozensets (same DFS order as
+    """Bounded 1-safety walk on frozensets (same DFS order and witness as
     :func:`repro.net.validation.check_safe`)."""
-    seen: set[Marking] = {net.initial_marking}
+    parents: dict[Marking, tuple[Marking, str] | None] = {
+        net.initial_marking: None
+    }
     frontier = [net.initial_marking]
     while frontier:
-        if len(seen) > max_states:
-            return SafetyCheck(status="unknown", states=len(seen))
+        if len(parents) > max_states:
+            return SafetyCheck(
+                status="unknown", states=len(parents), stop_reason="state-budget"
+            )
         marking = frontier.pop()
         for t in net.enabled_transitions(marking):
             try:
                 successor = net.fire(t, marking)
             except UnsafeNetError as exc:
+                trace = [net.transitions[t]]
+                link = parents[marking]
+                while link is not None:
+                    trace.append(link[1])
+                    link = parents[link[0]]
                 return SafetyCheck(
-                    status="unsafe", states=len(seen), violation=str(exc)
+                    status="unsafe",
+                    states=len(parents),
+                    violation=str(exc),
+                    marking=net.marking_names(marking),
+                    trace=tuple(reversed(trace)),
                 )
-            if successor not in seen:
-                seen.add(successor)
+            if successor not in parents:
+                parents[successor] = (marking, net.transitions[t])
                 frontier.append(successor)
-    return SafetyCheck(status="safe", states=len(seen))
+    return SafetyCheck(status="safe", states=len(parents))
 
 
 class ExplicitFamily:

@@ -8,15 +8,16 @@ Two guarantees pin the property layer to the historical behaviour:
   and answers conclusively must give the same answer, with the
   preservation matrix governing who may answer at all (stubborn refuses
   non-deadlock questions, GPO's clean screens stay inconclusive), and
-  the old special-purpose flags (``check_safe``, ``find_state``) must
-  agree with the property verdicts that subsume them.
+  the special-purpose checks the properties subsume (the bounded
+  ``check_safe`` walk, an oracle scan of the reachable markings) must
+  agree with the property verdicts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reachability import KernelMarkingSpace, analyze as full_analyze
+from repro.analysis.reachability import analyze as full_analyze
 from repro.engine.jobs import ANALYZERS, Budget, VerificationJob, execute_job
 from repro.harness.table1 import PROBLEMS
 from repro.net.validation import check_safe
@@ -24,7 +25,6 @@ from repro.props.ast import UnsupportedPropertyError
 from repro.props.decide import decide
 from repro.props.normalize import canonical_text
 from repro.props.parse import parse_property
-from repro.search.query import find_state
 from repro.stubborn.explorer import analyze as stubborn_analyze
 from repro.symbolic.reach import analyze as symbolic_analyze
 from repro.unfolding.analysis import analyze as unfolding_analyze
@@ -140,14 +140,12 @@ class TestOldFlagEquivalence:
 
         from repro.props.compile import predicate_fn
 
+        from tests.oracle import oracle_explore
+
         hit = predicate_fn(net, prop.pred)
-        space = KernelMarkingSpace(net)
-        search = find_state(
-            space,
-            lambda bits: hit(net.marking_names(space.decode(bits))),
-            max_states=BUDGET["max_states"],
-        )
-        assert search.reached == result.property_holds
+        graph = oracle_explore(net, max_states=BUDGET["max_states"])
+        reached = [m for m in graph.states() if hit(net.marking_names(m))]
+        assert bool(reached) == result.property_holds
         if result.property_holds:
             assert result.witness is not None
-            assert search.trace is not None
+            assert len(result.witness.trace) == len(graph.path_to(reached[0]))

@@ -13,6 +13,7 @@ from repro.harness.table1 import format_table1, run_table1
 from repro.models import nsdp, rw
 from repro.net.parser import to_text
 from repro.props.decide import decide
+from repro.reduce import replay
 from repro.static.lint import lint
 
 
@@ -198,14 +199,22 @@ class TestCli:
         path.write_text(to_text(rw(4)), encoding="utf-8")
         code = main(
             [
-                "reach",
+                "query",
                 str(path),
-                "--target",
-                "reading0 & reading1",
+                "reachable(reading0 & reading1)",
+                "--methods",
+                "full",
                 "--reduce",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "REACHED" in out
-        assert "trace:" in out
+        assert "property holds" in out
+        witness = next(line for line in out.splitlines() if " via " in line)
+        assert witness.startswith(
+            "goal at {controller, free2, free3, reading0, reading1} via "
+        )
+        # The mapped-back trace replays on the original net.
+        trace = witness.split(" via ", 1)[1].split(" ; ")
+        marking = replay(rw(4), trace)
+        assert {"reading0", "reading1"} <= rw(4).marking_names(marking)

@@ -1,8 +1,14 @@
-"""On-the-fly reachability queries over full and stubborn spaces."""
+"""On-the-fly marking queries: a :class:`MarkingQueryObserver` on the
+search driver, over full and stubborn spaces.
+
+This is the mechanism behind every ``reachable``/``invariant`` goal of
+the explicit analyzers (:func:`repro.search.goals.compile_goal`).
+"""
 
 from repro.analysis.reachability import reachable_markings
 from repro.models import nsdp
-from repro.search.query import find_state
+from repro.search.core import explore
+from repro.search.observers import MarkingQueryObserver
 from repro.stubborn.explorer import KernelStubbornSpace
 
 from tests.oracle import OracleMarkingSpace
@@ -17,50 +23,62 @@ def _names_predicate(net, *places):
     return hit
 
 
+def _query(space, predicate, *, order="bfs", max_states=None):
+    """``(matched state, shortest trace or None, outcome)``."""
+    observer = MarkingQueryObserver(predicate)
+    outcome = explore(
+        space, order=order, max_states=max_states, observers=(observer,)
+    )
+    if observer.matched is None:
+        return None, None, outcome
+    path = outcome.graph.path_to(observer.matched)
+    return observer.matched, tuple(label for label, _ in path), outcome
+
+
 class TestFindState:
     def test_finds_reachable_deadlock_marking(self):
         net = nsdp(2)
-        result = find_state(
+        state, trace, outcome = _query(
             OracleMarkingSpace(net), _names_predicate(net, "hasR0", "hasR1")
         )
-        assert result.reached
-        assert result.conclusive
-        assert result.state is not None
-        assert result.trace is not None and len(result.trace) == 2
+        assert state is not None
+        assert outcome.stop_reason == "observer"
+        assert trace is not None and len(trace) == 2
 
     def test_early_termination_explores_less(self):
         net = nsdp(4)
         full_size = len(reachable_markings(net))
-        result = find_state(
+        state, _, outcome = _query(
             OracleMarkingSpace(net),
             _names_predicate(net, "hasR0", "hasR1", "hasR2", "hasR3"),
         )
-        assert result.reached
-        assert result.outcome.graph.num_states < full_size
+        assert state is not None
+        assert outcome.graph.num_states < full_size
 
     def test_initial_state_matches_immediately(self):
         net = nsdp(2)
-        result = find_state(OracleMarkingSpace(net), lambda marking: True)
-        assert result.reached
-        assert result.state == net.initial_marking
-        assert result.trace == ()
-        assert result.outcome.graph.num_states == 1
+        state, trace, outcome = _query(
+            OracleMarkingSpace(net), lambda marking: True
+        )
+        assert state == net.initial_marking
+        assert trace == ()
+        assert outcome.graph.num_states == 1
 
     def test_miss_on_exhausted_space_is_conclusive(self):
         net = nsdp(2)
-        result = find_state(OracleMarkingSpace(net), lambda marking: False)
-        assert not result.reached
-        assert result.exhaustive
-        assert result.conclusive
+        state, _, outcome = _query(
+            OracleMarkingSpace(net), lambda marking: False
+        )
+        assert state is None
+        assert outcome.exhaustive
 
     def test_miss_under_budget_is_inconclusive(self):
         net = nsdp(4)
-        result = find_state(
+        state, _, outcome = _query(
             OracleMarkingSpace(net), lambda marking: False, max_states=10
         )
-        assert not result.reached
-        assert not result.exhaustive
-        assert not result.conclusive
+        assert state is None
+        assert not outcome.exhaustive
 
     def test_stubborn_space_finds_preserved_deadlock(self):
         # Stubborn sets preserve deadlocks, so the deadlocked marking is
@@ -68,15 +86,15 @@ class TestFindState:
         net = nsdp(2)
         space = KernelStubbornSpace(net)
         hit = _names_predicate(net, "hasR0", "hasR1")
-        result = find_state(space, lambda bits: hit(space.decode(bits)))
-        assert result.reached
+        state, _, _ = _query(space, lambda bits: hit(space.decode(bits)))
+        assert state is not None
 
     def test_dfs_order_also_finds_target(self):
         net = nsdp(2)
-        result = find_state(
+        state, trace, _ = _query(
             OracleMarkingSpace(net),
             _names_predicate(net, "hasR0", "hasR1"),
             order="dfs",
         )
-        assert result.reached
-        assert result.trace is not None
+        assert state is not None
+        assert trace is not None

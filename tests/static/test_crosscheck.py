@@ -7,7 +7,7 @@ families rather than toy nets.
 
 import json
 
-from repro.analysis.deadlock import has_deadlock
+from repro.analysis import analyze
 from repro.engine.events import JsonlEventSink
 from repro.harness import DEFAULT_SIZES, PROBLEMS, run_table1
 from repro.harness.runner import Budget
@@ -47,7 +47,7 @@ class TestPrecheckNeverContradictsDeadlockSearch:
             verdict = deadlock_freedom_precheck(net)
             assert verdict in ("deadlock-free", "unknown")
             if verdict == "deadlock-free":
-                assert not has_deadlock(net), net.name
+                assert not analyze(net).deadlock, net.name
 
 
 class TestJobEventsCarryCertification:

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis import has_deadlock, reachable_markings
+from repro.analysis import reachable_markings
 from repro.analysis.stats import (
     Deadline,
     ExplorationLimitReached,
