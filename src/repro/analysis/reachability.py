@@ -172,7 +172,6 @@ def analyze(
     *,
     max_states: int | None = None,
     max_seconds: float | None = None,
-    want_witness: bool = True,
 ) -> AnalysisResult:
     """Run full reachability analysis and package an :class:`AnalysisResult`.
 
@@ -204,10 +203,10 @@ def analyze(
     witness = None
     tracer = current_tracer()
     if goal is not None:
-        if goal.hit and want_witness:
+        if goal.hit:
             with tracer.span(names.SPAN_WITNESS):
                 witness = goal.witness(net, graph)
-    elif graph.deadlocks and want_witness:
+    elif graph.deadlocks:
         with tracer.span(names.SPAN_WITNESS):
             witness = extract_witness(net, graph, decode=space.decode)
     extras = outcome.stats.as_extras()

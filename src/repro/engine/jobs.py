@@ -12,8 +12,9 @@ analyzer's keyword arguments.  Converting budget overruns into
 non-exhaustive :class:`~repro.analysis.stats.AnalysisResult` values
 (mirroring the paper's "> 24 hours" entries) is the analyzer frame's job
 (:mod:`repro.analysis.frame`), so a direct ``analyze`` call and a job
-report an overrun the same way.  The historical
-``repro.harness.runner.run_analyzer`` API is a thin wrapper around it.
+report an overrun the same way.  ``execute_job`` runs a job in-process;
+:meth:`repro.engine.pool.WorkerPool.run` runs a batch of them in isolated
+workers (Table 1, the portfolio race).
 """
 
 from __future__ import annotations
@@ -104,7 +105,9 @@ class VerificationJob:
 
     Jobs are immutable and picklable; ``query`` is the property being
     decided, in the :mod:`repro.props` query language (``"deadlock"``,
-    the paper's Table 1 question, is the default).
+    the paper's Table 1 question, is the default).  An unknown ``method``
+    or ``reduce`` mode raises :class:`ValueError` here, before any worker
+    is forked for the job.
     """
 
     net: PetriNet
@@ -112,6 +115,18 @@ class VerificationJob:
     budget: Budget = field(default_factory=Budget)
     query: str = "deadlock"
     reduce: str = "off"
+
+    def __post_init__(self) -> None:
+        if self.method not in ANALYZERS:
+            raise ValueError(
+                f"unknown analyzer {self.method!r}; expected one of "
+                f"{sorted(ANALYZERS)}"
+            )
+        if self.reduce not in REDUCE_MODES:
+            raise ValueError(
+                f"unknown reduce mode {self.reduce!r}; expected one of "
+                f"{REDUCE_MODES}"
+            )
 
     @property
     def label(self) -> str:
@@ -246,18 +261,7 @@ def execute_job(job: VerificationJob) -> AnalysisResult:
     progress actually made when the analyzer gave up and an
     ``extras["aborted"]`` note.
     """
-    try:
-        fn = ANALYZERS[job.method]
-    except KeyError:
-        raise ValueError(
-            f"unknown analyzer {job.method!r}; expected one of "
-            f"{sorted(ANALYZERS)}"
-        ) from None
-    if job.reduce not in REDUCE_MODES:
-        raise ValueError(
-            f"unknown reduce mode {job.reduce!r}; expected one of "
-            f"{REDUCE_MODES}"
-        )
+    fn = ANALYZERS[job.method]
     # PropertyError is a ValueError, so malformed queries reject the job
     # the same way unknown analyzers do.
     prop: Property | None = as_property(job.query)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from multiprocessing.connection import Connection
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.analysis.stats import AnalysisResult
 from repro.engine.cache import ResultCache
@@ -37,7 +37,7 @@ from repro.obs.flight import FLIGHT
 from repro.obs.memory import peak_rss_kb
 from repro.obs.tracer import current_tracer
 
-__all__ = ["WorkerPool", "run_jobs"]
+__all__ = ["WorkerPool"]
 
 #: Seconds past the cooperative deadline before the hard kill (the
 #: acceptance bar is "killed within ~1s of its deadline").
@@ -343,30 +343,51 @@ class WorkerPool:
         """Run a single job (convenience wrapper around :meth:`run`)."""
         return self.run([job])[0]
 
-    def run(self, jobs: Sequence[VerificationJob]) -> list[JobResult]:
-        """Run all jobs; the result list is parallel to the input order."""
+    def run(
+        self,
+        jobs: Sequence[VerificationJob],
+        *,
+        until: Callable[[JobResult], bool] | None = None,
+    ) -> list[JobResult]:
+        """Run all jobs; the result list is parallel to the input order.
+
+        With ``until``, the first outcome it accepts (a finished job or a
+        cache hit) stops the run: pending jobs never start and running
+        ones are cancelled (``race lost``).  The list then holds only the
+        jobs that started or hit the cache, still in input order.
+        """
         results: list[JobResult | None] = [None] * len(jobs)
         pending: list[int] = list(range(len(jobs)))
         running: dict[int, WorkerHandle] = {}
         for job in jobs:
             self.events.record("queued", job)
+
+        def settle(index: int, outcome: JobResult) -> None:
+            results[index] = outcome
+            if until is not None and until(outcome):
+                pending.clear()
+                for other, handle in running.items():
+                    results[other] = self.cancel(handle)
+                running.clear()
+
         try:
             while pending or running:
                 while pending and len(running) < self.max_workers:
                     index = pending.pop(0)
-                    job = jobs[index]
-                    cached = self.try_cache(job)
-                    if cached is not None:
-                        results[index] = cached
-                        continue
-                    running[index] = self.submit(job)
+                    cached = self.try_cache(jobs[index])
+                    if cached is None:
+                        running[index] = self.submit(jobs[index])
+                    else:
+                        settle(index, cached)
                 progressed = False
                 for index, handle in list(running.items()):
+                    if index not in running:  # cancelled by a stop above
+                        continue
                     outcome = handle.poll()
                     if outcome is None:
                         continue
                     del running[index]
-                    results[index] = self._finalize(outcome)
+                    settle(index, self._finalize(outcome))
                     progressed = True
                 if not progressed and running:
                     time.sleep(self.poll_interval)
@@ -375,7 +396,7 @@ class WorkerPool:
             # (e.g. KeyboardInterrupt): never leave orphan processes behind.
             for handle in running.values():
                 handle.kill(status="cancelled")
-        return results  # type: ignore[return-value]  # every slot is filled
+        return [outcome for outcome in results if outcome is not None]
 
     # ------------------------------------------------------------------
     def _finalize(
@@ -413,14 +434,3 @@ class WorkerPool:
             )
         return outcome
 
-
-def run_jobs(
-    jobs: Sequence[VerificationJob],
-    *,
-    max_workers: int = 1,
-    cache: ResultCache | None = None,
-    events: EventSink | None = None,
-) -> list[JobResult]:
-    """One-shot convenience: run jobs through a fresh :class:`WorkerPool`."""
-    pool = WorkerPool(max_workers, cache=cache, events=events)
-    return pool.run(jobs)

@@ -6,12 +6,14 @@ search wins on tiny instances.  Like SMPT's portfolio of reachability
 methods, :func:`run_race` starts several analyzers on the same net in
 isolated worker processes, returns as soon as one produces a *conclusive*
 verdict (a deadlock found, or an exhaustive deadlock-free search) and
-terminates the losers.
+terminates the losers.  The race is a :meth:`WorkerPool.run` call that
+stops at the first conclusive outcome, so it shares the pool's cache
+probe, preemption and lifecycle events.
 
 With ``jobs=1`` the race degenerates to a **deterministic sequential
-fallback**: methods run one at a time in the order given, stopping at the
-first conclusive result — useful for reproducible CI runs and machines
-without spare cores.
+fallback**: a one-worker pool runs methods one at a time in the order
+given, stopping at the first conclusive result — useful for reproducible
+CI runs and machines without spare cores.
 """
 
 from __future__ import annotations
@@ -21,15 +23,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.engine.cache import ResultCache
-from repro.engine.events import EventSink, NullEventSink
-from repro.engine.jobs import (
-    Budget,
-    JobResult,
-    VerificationJob,
-    instrumentation_of,
-    is_conclusive,
-)
-from repro.engine.pool import WorkerHandle, WorkerPool, _mp_context
+from repro.engine.events import EventSink
+from repro.engine.jobs import Budget, JobResult, VerificationJob, is_conclusive
+from repro.engine.pool import WorkerPool
 from repro.net.petrinet import PetriNet
 from repro.obs import names
 from repro.obs.context import current_context, new_trace_context, use_context
@@ -104,10 +100,10 @@ def run_race(
     """Race ``methods`` on ``net``; first conclusive verdict wins.
 
     ``jobs`` bounds how many analyzers run concurrently.  ``jobs=1``
-    selects the deterministic sequential fallback.  Methods that never
-    started because the race was already decided are reported with
-    ``status="skipped"`` entries omitted (only started/cached jobs appear
-    in ``results``).
+    selects the deterministic sequential fallback.  ``results`` lists
+    the methods that started or hit the cache, in portfolio order;
+    methods that never started because the race was already decided are
+    omitted.
 
     ``query`` is a :mod:`repro.props` property.  Methods whose reduction
     does not preserve the queried fragments (per
@@ -138,7 +134,6 @@ def run_race(
     if shards is not None and shards > 1 and "parallel" not in method_list:
         method_list.append("parallel")
     kept, dropped = filter_methods(method_list, prop)
-    sink = events if events is not None else NullEventSink()
     parallel_budget = budget
     if shards is not None and shards > 1:
         parallel_budget = Budget(
@@ -157,9 +152,8 @@ def run_race(
         for m in kept
     ]
     if reduce != "off" and job_specs:
-        # Warm the memoized fixpoint in-process: the parallel path pickles
-        # jobs to workers (each would redo the reduction), but cache-key
-        # computation and the sequential path reuse this one run.
+        # Warm the memoized fixpoint in-process, once: cache-key
+        # computation and the forked workers all reuse this one run.
         job_specs[0].reduction()
     started_at = time.perf_counter()
     tracer = current_tracer()
@@ -173,11 +167,9 @@ def run_race(
         with tracer.span(
             names.SPAN_RACE, net=net.name, methods=",".join(kept), jobs=jobs
         ) as race_span:
-            if jobs <= 1:
-                outcome = _race_sequential(job_specs, cache, sink)
-            else:
-                outcome = _race_parallel(job_specs, jobs, cache, sink)
-            winner, results = outcome
+            pool = WorkerPool(jobs, cache=cache, events=events)
+            results = pool.run(job_specs, until=_decides)
+            winner = next(filter(_decides, results), None)
             race_span.set(
                 winner=winner.job.method if winner is not None else None,
                 conclusive=winner is not None,
@@ -193,111 +185,7 @@ def run_race(
     )
 
 
-def _race_sequential(
-    job_specs: list[VerificationJob],
-    cache: ResultCache | None,
-    events: EventSink,
-) -> tuple[JobResult | None, list[JobResult]]:
-    """Run methods one at a time, stop at the first conclusive verdict."""
-    pool = WorkerPool(1, cache=cache, events=events)
-    results: list[JobResult] = []
-    for job in job_specs:
-        outcome = pool.run_one(job)
-        results.append(outcome)
-        if outcome.ran and is_conclusive(outcome.result):
-            return outcome, results
-    return None, results
-
-
-def _race_parallel(
-    job_specs: list[VerificationJob],
-    jobs: int,
-    cache: ResultCache | None,
-    events: EventSink,
-) -> tuple[JobResult | None, list[JobResult]]:
-    """Start up to ``jobs`` workers; kill survivors once one concludes."""
-    context = _mp_context()
-    pending = list(job_specs)
-    running: list[WorkerHandle] = []
-    results: list[JobResult] = []
-    winner: JobResult | None = None
-    for job in job_specs:
-        events.record("queued", job)
-    try:
-        while pending or running:
-            while winner is None and pending and len(running) < jobs:
-                job = pending.pop(0)
-                cached = cache.get(job) if cache is not None else None
-                if cached is not None:
-                    events.record("cache_hit", job)
-                    outcome = JobResult(
-                        job=job, result=cached, status="cached"
-                    )
-                    results.append(outcome)
-                    if is_conclusive(cached):
-                        winner = outcome
-                    continue
-                handle = WorkerHandle(job, context)
-                events.record("started", job, pid=handle.process.pid)
-                running.append(handle)
-            if winner is not None:
-                pending.clear()
-                for handle in running:
-                    cancelled = handle.kill(status="cancelled")
-                    events.record(
-                        "cancelled",
-                        cancelled.job,
-                        wall_seconds=cancelled.wall_seconds,
-                        pid=cancelled.worker_pid,
-                    )
-                    results.append(cancelled)
-                running.clear()
-                break
-            progressed = False
-            for handle in list(running):
-                outcome = handle.poll()
-                if outcome is None:
-                    continue
-                progressed = True
-                running.remove(handle)
-                results.append(outcome)
-                _log_terminal(events, outcome)
-                if (
-                    outcome.status == "ok"
-                    and cache is not None
-                ):
-                    cache.put(outcome.job, outcome.result)
-                if (
-                    winner is None
-                    and outcome.ran
-                    and is_conclusive(outcome.result)
-                ):
-                    winner = outcome
-            if not progressed and running:
-                time.sleep(0.02)
-    finally:
-        for handle in running:
-            handle.kill(status="cancelled")
-    return winner, results
-
-
-def _log_terminal(events: EventSink, outcome: JobResult) -> None:
-    kind = {
-        "ok": "finished",
-        "error": "crashed",
-        "killed": "killed",
-        "cancelled": "cancelled",
-    }.get(outcome.status, "finished")
-    events.record(
-        kind,
-        outcome.job,
-        wall_seconds=outcome.wall_seconds,
-        peak_rss_kb=outcome.peak_rss_kb,
-        pid=outcome.worker_pid,
-        detail=outcome.result.verdict
-        if outcome.status == "ok"
-        else outcome.error,
-        stats=instrumentation_of(outcome.result) or None
-        if outcome.status == "ok"
-        else None,
-    )
+def _decides(outcome: JobResult) -> bool:
+    """Does this outcome end the race?  The analyzer's own conclusive
+    verdict does; a killed, cancelled or crashed run never does."""
+    return outcome.ran and is_conclusive(outcome.result)

@@ -357,7 +357,6 @@ def analyze(
     on_deadlock: OnDeadlock = "stop-branch",
     max_states: int | None = None,
     max_seconds: float | None = None,
-    want_witness: bool = True,
 ) -> AnalysisResult:
     """Generalized partial-order deadlock analysis, packaged uniformly.
 
@@ -405,9 +404,9 @@ def analyze(
     witness = None
     if goal_prop is None:
         with tracer.span(names.SPAN_WITNESS):
-            witnesses = result.witnesses(limit=1) if want_witness else []
+            witnesses = result.witnesses(limit=1)
             witness = witnesses[0] if witnesses else None
-    elif found is not None and want_witness:
+    elif found is not None:
         _, state, violating = found
         with tracer.span(names.SPAN_WITNESS):
             witness = result.witness(state, violating, label=goal_label)

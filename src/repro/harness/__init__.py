@@ -7,12 +7,6 @@ from repro.harness.figures import (
     format_series,
 )
 from repro.harness.report import format_number, format_table
-from repro.harness.runner import (
-    ANALYZERS,
-    Budget,
-    run_analyzer,
-    run_analyzer_isolated,
-)
 from repro.harness.table1 import (
     DEFAULT_SIZES,
     PAPER_TABLE1,
@@ -24,10 +18,6 @@ from repro.harness.table1 import (
 )
 
 __all__ = [
-    "ANALYZERS",
-    "Budget",
-    "run_analyzer",
-    "run_analyzer_isolated",
     "PROBLEMS",
     "DEFAULT_SIZES",
     "PAPER_TABLE1",

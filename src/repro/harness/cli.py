@@ -91,7 +91,7 @@ from repro import verify
 from repro.analysis import explore
 from repro.engine.cache import ResultCache
 from repro.engine.events import EventSink, JsonlEventSink
-from repro.engine.jobs import ANALYZERS
+from repro.engine.jobs import ANALYZERS, Budget
 from repro.engine.portfolio import DEFAULT_PORTFOLIO, run_race
 from repro.harness.figures import (
     figure1_series,
@@ -102,7 +102,6 @@ from repro.harness.figures import (
 from repro.harness.profile import PROFILE_ANALYZERS, observed, run_profile
 from repro.obs import names
 from repro.obs.tracer import span as obs_span
-from repro.harness.runner import Budget
 from repro.harness.table1 import (
     DEFAULT_SIZES,
     PROBLEMS,

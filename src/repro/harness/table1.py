@@ -22,10 +22,9 @@ from typing import Callable, Iterable, Mapping
 from repro.analysis.stats import AnalysisResult
 from repro.engine.cache import ResultCache
 from repro.engine.events import EventSink
-from repro.engine.jobs import VerificationJob
+from repro.engine.jobs import Budget, VerificationJob, execute_job
 from repro.engine.pool import WorkerPool
 from repro.harness.report import format_number, format_table
-from repro.harness.runner import Budget, run_analyzer
 from repro.models import asat, nsdp, over, rw
 from repro.net.petrinet import PetriNet
 from repro.obs import names
@@ -191,14 +190,14 @@ def run_instance(
     reduce: str = "off",
 ) -> Table1Row:
     """Run the selected analyzers on one instance and collect a row."""
-    net = PROBLEMS[problem](size)
-    wanted = set(analyzers)
-    results = {
-        name: run_analyzer(name, net, budget, reduce=reduce)
-        for name in _ANALYZER_ORDER
-        if name in wanted
-    }
-    return _assemble_row(problem, size, results)
+    (row,) = run_table1(
+        problems=[problem],
+        sizes={problem: [size]},
+        budget=budget,
+        analyzers=analyzers,
+        reduce=reduce,
+    )
+    return row
 
 
 def _instance_specs(
@@ -229,22 +228,15 @@ def run_table1(
 ) -> list[Table1Row]:
     """Run the whole table (or a selection) and return measured rows.
 
-    With ``jobs > 1`` (or when a ``cache`` / ``events`` sink is supplied)
-    every (instance, analyzer) cell becomes a :class:`VerificationJob`
-    executed through the :class:`~repro.engine.pool.WorkerPool` — analyzer
-    runs are process-isolated, hard-preempted at their deadline, cached by
+    Every (instance, analyzer) cell becomes a :class:`VerificationJob`.
+    With ``jobs <= 1`` and no ``cache`` / ``events`` sink the jobs run
+    in-process through :func:`execute_job`; otherwise they run through
+    the :class:`~repro.engine.pool.WorkerPool` — analyzer runs are
+    process-isolated, hard-preempted at their deadline, cached by
     canonical structural hash, and logged as JSONL lifecycle events.  Row
     assembly is deterministic regardless of completion order.
     """
     specs = _instance_specs(problems, sizes)
-    if jobs <= 1 and cache is None and events is None:
-        return [
-            run_instance(
-                problem, size, budget=budget, analyzers=analyzers, reduce=reduce
-            )
-            for problem, size in specs
-        ]
-
     wanted = [name for name in _ANALYZER_ORDER if name in set(analyzers)]
     job_budget = budget if budget is not None else Budget()
     job_list: list[VerificationJob] = []
@@ -258,11 +250,14 @@ def run_table1(
                 )
             )
             keys.append((problem, size, name))
-    pool = WorkerPool(max_workers=jobs, cache=cache, events=events)
-    outcomes = pool.run(job_list)
+    if jobs <= 1 and cache is None and events is None:
+        results = [execute_job(job) for job in job_list]
+    else:
+        pool = WorkerPool(max_workers=jobs, cache=cache, events=events)
+        results = [outcome.result for outcome in pool.run(job_list)]
     per_instance: dict[tuple[str, int], dict[str, AnalysisResult]] = {}
-    for (problem, size, name), outcome in zip(keys, outcomes):
-        per_instance.setdefault((problem, size), {})[name] = outcome.result
+    for (problem, size, name), result in zip(keys, results):
+        per_instance.setdefault((problem, size), {})[name] = result
     return [
         _assemble_row(problem, size, per_instance.get((problem, size), {}))
         for problem, size in specs

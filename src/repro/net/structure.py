@@ -20,7 +20,7 @@ explorers can query it in O(1).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.net.petrinet import PetriNet
 
@@ -188,15 +188,3 @@ class StructuralInfo:
             t for t in range(self.net.num_transitions) if self.adjacency[t]
         )
 
-
-def restrict_to_enabled(
-    components: Iterable[frozenset[int]], enabled: Sequence[int] | set[int]
-) -> list[frozenset[int]]:
-    """Intersect MCSs with a set of enabled transitions, dropping empties."""
-    enabled_set = set(enabled)
-    out = []
-    for component in components:
-        inter = component & enabled_set
-        if inter:
-            out.append(frozenset(inter))
-    return out

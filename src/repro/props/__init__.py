@@ -62,7 +62,7 @@ from repro.props.normalize import (
     normalize_predicate,
     property_hash,
 )
-from repro.props.parse import parse_predicate, parse_property
+from repro.props.parse import parse_property
 
 __all__ = [
     "FRAGMENTS",
@@ -101,7 +101,6 @@ __all__ = [
     "is_atomic",
     "normalize",
     "normalize_predicate",
-    "parse_predicate",
     "parse_property",
     "places_of",
     "predicate_fn",

@@ -49,7 +49,7 @@ from repro.props.ast import (
     Top,
 )
 
-__all__ = ["parse_predicate", "parse_property"]
+__all__ = ["parse_property"]
 
 _KEYWORDS = frozenset(
     {"deadlock", "reachable", "invariant", "safe", "true", "false"}
@@ -279,26 +279,3 @@ def parse_property(text: str) -> Property:
     _check_safe_placement(prop)
     return prop
 
-
-def parse_predicate(text: str) -> Predicate:
-    """Parse ``text`` as a bare marking predicate (no property wrapper)."""
-    if not text or not text.strip():
-        raise PropertyError("empty predicate")
-    parser = _Parser(text)
-    pred = parser.predicate()
-    parser.done()
-    if _contains_safe(pred):
-        raise PropertyError(
-            "'safe' may only appear as the predicate of invariant(safe)"
-        )
-    return pred
-
-
-def _contains_safe(pred: Predicate) -> bool:
-    if isinstance(pred, Safe):
-        return True
-    if isinstance(pred, Not):
-        return _contains_safe(pred.operand)
-    if isinstance(pred, (And, Or)):
-        return any(_contains_safe(op) for op in pred.operands)
-    return False

@@ -528,14 +528,12 @@ def analyze_parallel(
     workers: Any = "auto",
     max_states: int | None = None,
     max_seconds: float | None = None,
-    want_witness: bool = False,
 ) -> AnalysisResult:
     """Sharded analysis packaged as an :class:`AnalysisResult`.
 
     Answers the deadlock question only (see its :mod:`repro.props.compat`
-    entry) and reports no witness:
-    the shards keep visited *sets*, not the edge structure a witness
-    path needs (``want_witness`` is accepted for signature uniformity).
+    entry) and reports no witness: the shards keep visited *sets*, not
+    the edge structure a witness path needs.
     One sharded analysis is one logical request, so inline and forked
     shard spans share the trace context the frame installs.
     """

@@ -168,7 +168,6 @@ def analyze(
     *,
     max_states: int | None = None,
     max_seconds: float | None = None,
-    want_witness: bool = True,
 ) -> AnalysisResult:
     """Run stubborn-set reduced analysis, packaged uniformly.
 
@@ -191,7 +190,7 @@ def analyze(
     )
     graph = outcome.graph
     witness = None
-    if graph.deadlocks and want_witness:
+    if graph.deadlocks:
         with current_tracer().span(names.SPAN_WITNESS):
             witness = extract_witness(net, graph, decode=space.decode)
     extras = outcome.stats.as_extras()

@@ -212,7 +212,6 @@ def analyze(
     *,
     use_force_order: bool = True,
     partitioned: bool = True,
-    want_witness: bool = True,
     max_seconds: float | None = None,
 ) -> AnalysisResult:
     """Symbolic deadlock analysis packaged uniformly.
@@ -260,15 +259,14 @@ def analyze(
         goal_label = "violation"
     tracer = current_tracer()
     witness = None
-    if want_witness:
-        marking = dead if goal_prop is None else goal_marking
-        if marking is not None:
-            with tracer.span(names.SPAN_WITNESS):
-                witness = DeadlockWitness(
-                    marking=net.marking_names(marking),
-                    trace=(),
-                    label="deadlock" if goal_prop is None else goal_label,
-                )
+    marking = dead if goal_prop is None else goal_marking
+    if marking is not None:
+        with tracer.span(names.SPAN_WITNESS):
+            witness = DeadlockWitness(
+                marking=net.marking_names(marking),
+                trace=(),
+                label="deadlock" if goal_prop is None else goal_label,
+            )
     metrics = tracer.metrics
     labels = {"analyzer": "symbolic", "net": net.name}
     metrics.gauge(names.BDD_PEAK_NODES, **labels).set_max(result.peak_nodes)

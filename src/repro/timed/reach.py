@@ -130,7 +130,6 @@ def analyze(
     *,
     max_classes: int | None = None,
     max_seconds: float | None = None,
-    want_witness: bool = True,
 ) -> AnalysisResult:
     """Timed deadlock analysis packaged like the untimed analyzers.
 
@@ -165,10 +164,10 @@ def analyze(
     witness = None
     tracer = current_tracer()
     if goal is not None:
-        if goal.hit and want_witness:
+        if goal.hit:
             with tracer.span(names.SPAN_WITNESS):
                 witness = goal.witness(tpn.net, graph)
-    elif graph.deadlocks and want_witness:
+    elif graph.deadlocks:
         target = next(iter(graph.deadlocks))
         with tracer.span(names.SPAN_WITNESS):
             path = graph.path_to(target) or []

@@ -55,10 +55,6 @@ def _le(a: int | None, b: int | None) -> bool:
     return a <= b
 
 
-def _min(a: int | None, b: int | None) -> int | None:
-    return a if _le(a, b) else b
-
-
 class StateClass:
     """An immutable state class ``(marking, canonical DBM)``.
 

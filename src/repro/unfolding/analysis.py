@@ -209,7 +209,6 @@ def analyze(
     *,
     max_events: int | None = 10_000,
     max_seconds: float | None = None,
-    want_witness: bool = True,
 ) -> AnalysisResult:
     """Unfold and report prefix sizes plus a deadlock verdict.
 
@@ -250,13 +249,13 @@ def analyze(
                 goal = compile_goal(net, goal_prop, marking_of=space.marking_of)
                 graph = _walk(space, deadline=deadline, observers=(goal.observer,))
                 exhaustive = complete
-                if goal.hit and want_witness:
+                if goal.hit:
                     witness = goal.witness(net, graph)
         except ExplorationLimitReached:
             note = LIMIT_NOTE
         except TimeLimitReached:
             note = abort_note("time-budget", max_seconds=max_seconds)
-    if want_witness and dead is not None:
+    if dead is not None:
         witness = dead
     decided = goal is not None and goal.hit
     extras: dict[str, object] = {

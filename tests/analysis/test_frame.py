@@ -103,7 +103,6 @@ def test_public_signature_takes_prop_not_goal():
         "net",
         "max_states",
         "max_seconds",
-        "want_witness",
         "prop",
     ]
     assert params["prop"].kind is inspect.Parameter.KEYWORD_ONLY

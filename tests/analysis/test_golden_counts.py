@@ -36,7 +36,7 @@ def test_full_and_stubborn_counts(problem, size, kernel):
     full_golden, stubborn_golden, _ = GOLDEN[(problem, size)]
     if kernel:
         for analyzer, golden in ((full, full_golden), (stubborn, stubborn_golden)):
-            result = analyzer.analyze(net, want_witness=False)
+            result = analyzer.analyze(net)
             assert (result.states, result.edges, result.deadlock) == golden
     else:
         for explore, golden in (
@@ -52,5 +52,5 @@ def test_full_and_stubborn_counts(problem, size, kernel):
 def test_gpo_counts(problem, size):
     net = BUILDERS[problem](size)
     _, _, gpo_golden = GOLDEN[(problem, size)]
-    result = gpo.analyze(net, want_witness=False)
+    result = gpo.analyze(net)
     assert (result.states, result.edges, result.deadlock) == gpo_golden

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.jobs import (
-    ANALYZERS,
     Budget,
     VerificationJob,
     execute_job,
@@ -48,9 +47,11 @@ class TestVerificationJob:
             execute_job(job)
 
     def test_unknown_method_rejected(self):
-        job = VerificationJob(net=choice_net(), method="quantum")
-        with pytest.raises(ValueError):
-            execute_job(job)
+        # Rejected at construction, so no pool or race forks a worker.
+        with pytest.raises(ValueError, match="unknown analyzer"):
+            VerificationJob(net=choice_net(), method="quantum")
+        with pytest.raises(ValueError, match="unknown reduce mode"):
+            VerificationJob(net=choice_net(), reduce="sideways")
 
 
 class TestCooperativeDeadlines:
@@ -125,12 +126,3 @@ class TestIsConclusive:
         )
         assert not is_conclusive(bounded)
         assert not is_conclusive(None)
-
-
-class TestBackwardCompatibility:
-    def test_runner_reexports(self):
-        from repro.harness.runner import ANALYZERS as legacy_analyzers
-        from repro.harness.runner import Budget as legacy_budget
-
-        assert legacy_analyzers is ANALYZERS
-        assert legacy_budget is Budget

@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+from repro.engine.cache import ResultCache
 from repro.engine.events import MemoryEventSink
 from repro.engine.jobs import ANALYZERS, Budget, VerificationJob
 from repro.engine.pool import WorkerPool
+from repro.engine.portfolio import run_race
 from repro.models import choice_net, nsdp
 from repro.net.exceptions import UnsafeNetError
 
@@ -142,3 +144,78 @@ class TestEvents:
         )
         WorkerPool(1, events=sink).run_one(job)
         assert sink.kinds() == ["queued", "started", "killed"]
+
+
+class TestRunUntil:
+    @requires_fork
+    def test_first_accepted_outcome_stops_the_run(self, rogue_analyzers):
+        sink = MemoryEventSink()
+        jobs = [
+            VerificationJob(choice_net(), "sleepy", Budget(max_seconds=30.0)),
+            VerificationJob(choice_net(), "gpo"),
+            VerificationJob(nsdp(2), "full"),
+        ]
+        outcomes = WorkerPool(2, events=sink).run(
+            jobs, until=lambda outcome: outcome.ran
+        )
+        # The pending third job never started; the list keeps input order.
+        assert [(o.job.method, o.status) for o in outcomes] == [
+            ("sleepy", "cancelled"),
+            ("gpo", "ok"),
+        ]
+        assert sink.kinds().count("started") == 2
+        (cancelled,) = [e for e in sink.events if e.kind == "cancelled"]
+        assert cancelled.method == "sleepy"
+        assert cancelled.detail == "race lost"
+
+    def test_one_worker_runs_in_order_and_stops(self):
+        sink = MemoryEventSink()
+        jobs = [
+            VerificationJob(choice_net(), "gpo"),
+            VerificationJob(choice_net(), "full"),
+        ]
+        outcomes = WorkerPool(1, events=sink).run(jobs, until=lambda o: True)
+        assert [o.job.method for o in outcomes] == ["gpo"]
+        assert sink.kinds() == ["queued", "queued", "started", "finished"]
+
+    def test_cache_hit_can_stop_the_run(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = VerificationJob(choice_net(), "gpo")
+        WorkerPool(1, cache=cache).run([job])
+        sink = MemoryEventSink()
+        outcomes = WorkerPool(1, cache=cache, events=sink).run(
+            [job, VerificationJob(choice_net(), "full")],
+            until=lambda o: o.status == "cached",
+        )
+        assert [o.status for o in outcomes] == ["cached"]
+        assert "started" not in sink.kinds()
+
+
+class TestRaceEvents:
+    """A race records the same event vocabulary as any pool run."""
+
+    @requires_fork
+    def test_loser_cancelled_with_race_lost(self, rogue_analyzers):
+        sink = MemoryEventSink()
+        outcome = run_race(
+            choice_net(),
+            methods=("sleepy", "gpo"),
+            budget=Budget(max_seconds=30.0),
+            jobs=2,
+            events=sink,
+        )
+        assert outcome.winner.job.method == "gpo"
+        (cancelled,) = [e for e in sink.events if e.kind == "cancelled"]
+        assert cancelled.method == "sleepy"
+        assert cancelled.detail == "race lost"
+
+    def test_cached_win_records_cache_key_prefix(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        run_race(choice_net(), methods=("gpo",), jobs=2, cache=cache)
+        sink = MemoryEventSink()
+        second = run_race(
+            choice_net(), methods=("gpo",), jobs=2, cache=cache, events=sink
+        )
+        assert second.winner.status == "cached"
+        assert sink.kinds() == ["queued", "cache_hit"]
+        assert sink.events[-1].detail == cache.key(second.winner.job)[:16]

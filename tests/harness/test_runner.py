@@ -1,9 +1,18 @@
-"""Tests for the budgeted analyzer runner."""
+"""Budgeted analyzer runs through the engine's job API.
+
+In-process runs go through ``execute_job``; isolated runs through a
+one-worker ``WorkerPool``.
+"""
 
 import pytest
 
-from repro.harness import Budget, run_analyzer
+from repro.engine.jobs import Budget, VerificationJob, execute_job
+from repro.engine.pool import WorkerPool
 from repro.models import choice_net, nsdp
+
+
+def run_analyzer(name, net, budget=None):
+    return execute_job(VerificationJob(net, name, budget or Budget()))
 
 
 class TestRunAnalyzer:
@@ -15,8 +24,8 @@ class TestRunAnalyzer:
         assert result.analyzer == name
 
     def test_unknown_analyzer_rejected(self):
-        with pytest.raises(ValueError):
-            run_analyzer("quantum", choice_net())
+        with pytest.raises(ValueError, match="unknown analyzer"):
+            VerificationJob(choice_net(), "quantum")
 
     def test_state_budget_overrun_reported(self):
         result = run_analyzer(
@@ -69,16 +78,17 @@ class TestCooperativeTimeBudgets:
 
 class TestIsolatedRunner:
     def test_same_verdict_as_in_process(self):
-        from repro.harness import run_analyzer_isolated
-
         inproc = run_analyzer("gpo", choice_net())
-        isolated = run_analyzer_isolated("gpo", choice_net())
+        isolated = WorkerPool(1).run_one(VerificationJob(choice_net())).result
         assert isolated.deadlock == inproc.deadlock
         assert isolated.states == inproc.states
         assert isolated.exhaustive == inproc.exhaustive
 
-    def test_unknown_analyzer_rejected(self):
-        from repro.harness import run_analyzer_isolated
+    def test_unknown_analyzer_rejected(self, monkeypatch):
+        # Rejected when the job is built, before any worker is forked.
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was started")
 
-        with pytest.raises(ValueError):
-            run_analyzer_isolated("quantum", choice_net())
+        monkeypatch.setattr(WorkerPool, "submit", no_fork)
+        with pytest.raises(ValueError, match="unknown analyzer"):
+            WorkerPool(1).run([VerificationJob(choice_net(), "quantum")])

@@ -1,11 +1,11 @@
 """Tests for the Table 1 harness (small instances only — the full table is
 exercised by the benchmark suite)."""
 
+from repro.engine.jobs import Budget
 from repro.harness import (
     DEFAULT_SIZES,
     PAPER_TABLE1,
     PROBLEMS,
-    Budget,
     format_table1,
     run_instance,
     run_table1,

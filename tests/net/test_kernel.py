@@ -320,8 +320,8 @@ class TestClosureMemo:
         from repro.obs import names
 
         net = nsdp(4)
-        first = stubborn.analyze(net, want_witness=False)
-        second = stubborn.analyze(net, want_witness=False)
+        first = stubborn.analyze(net)
+        second = stubborn.analyze(net)
         key = names.STUBBORN_CLOSURE_ITERATIONS
         assert first.extras[key] == second.extras[key]
         assert first.states == second.states

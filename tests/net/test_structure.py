@@ -1,12 +1,11 @@
 """Tests for the conflict relation and maximal conflict sets (Def. 2.2)."""
 
-from repro.models import choice_net, conflict_pairs_net, figure3_net
+from repro.models import conflict_pairs_net, figure3_net
 from repro.net import NetBuilder, StructuralInfo, conflict, maximal_conflict_sets
 from repro.net.structure import (
     are_independent,
     conflict_graph,
     conflict_places,
-    restrict_to_enabled,
 )
 
 
@@ -132,10 +131,3 @@ class TestIndependence:
         b1 = net.transition_id("B1")
         assert are_independent(net, a0, b1)
 
-
-def test_restrict_to_enabled():
-    net = conflict_pairs_net(2)
-    components = maximal_conflict_sets(net)
-    a0 = net.transition_id("A0")
-    restricted = restrict_to_enabled(components, {a0})
-    assert restricted == [frozenset({a0})]

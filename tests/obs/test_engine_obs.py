@@ -11,7 +11,7 @@ from repro.engine.events import (
     read_events,
 )
 from repro.engine.jobs import Budget, VerificationJob
-from repro.engine.pool import run_jobs
+from repro.engine.pool import WorkerPool
 from repro.engine.portfolio import run_race
 from repro.models import nsdp
 from repro.obs import names
@@ -28,7 +28,7 @@ class TestWorkerTraceMerging:
     def test_job_span_emitted_with_status(self):
         tracer = Tracer()
         with activate(tracer):
-            (outcome,) = run_jobs([job(nsdp(2))])
+            (outcome,) = WorkerPool().run([job(nsdp(2))])
         assert outcome.status == "ok"
         job_spans = [
             r for r in tracer.records() if r["name"] == names.SPAN_JOB
@@ -40,7 +40,7 @@ class TestWorkerTraceMerging:
     def test_worker_spans_adopted_and_parented_under_job(self):
         tracer = Tracer()
         with activate(tracer):
-            run_jobs([job(nsdp(2))])
+            WorkerPool().run([job(nsdp(2))])
         records = tracer.records()
         (job_span,) = [r for r in records if r["name"] == names.SPAN_JOB]
         foreign = [r for r in records if r["pid"] != os.getpid()]
@@ -74,7 +74,7 @@ class TestWorkerTraceMerging:
         )
 
     def test_untraced_run_records_nothing(self):
-        (outcome,) = run_jobs([job(nsdp(2))])
+        (outcome,) = WorkerPool().run([job(nsdp(2))])
         assert outcome.status == "ok"
         from repro.obs.tracer import current_tracer
 

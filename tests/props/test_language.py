@@ -40,7 +40,7 @@ from repro.props.normalize import (
     normalize_predicate,
     property_hash,
 )
-from repro.props.parse import parse_predicate, parse_property
+from repro.props.parse import parse_property
 
 PLACES = ("a", "b", "c", "d")
 
@@ -122,11 +122,6 @@ class TestRoundTrip:
     @given(prop=properties)
     def test_parse_print_parse_identity(self, prop: Property):
         assert parse_property(prop.text()) == prop
-
-    @_SETTINGS
-    @given(pred=predicates)
-    def test_predicate_parse_print_identity(self, pred: Predicate):
-        assert parse_predicate(pred.text()) == pred
 
     @_SETTINGS
     @given(prop=properties)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import analyze as full_analyze
-from repro.harness.runner import Budget, run_analyzer
+from repro.engine.jobs import Budget, VerificationJob, execute_job
 from repro.harness.table1 import PROBLEMS
 from repro.net.exceptions import UnsafeNetError
 from repro.reduce import back_map_witness, reduce_net, replay
@@ -72,8 +72,10 @@ class TestTable1Families:
     def test_analyzer_verdict_matches_unreduced(self, family, method):
         net = PROBLEMS[family](_FAMILY_SIZES[family])
         budget = Budget(max_states=50_000, max_seconds=60.0)
-        base = run_analyzer(method, net, budget)
-        shrunk = run_analyzer(method, net, budget, reduce="auto")
+        base = execute_job(VerificationJob(net, method, budget))
+        shrunk = execute_job(
+            VerificationJob(net, method, budget, reduce="auto")
+        )
         assert base.deadlock == shrunk.deadlock
         assert shrunk.reduction is not None
         assert shrunk.reduction["pre"][0] >= shrunk.reduction["post"][0]

@@ -44,7 +44,7 @@ class TestCountInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("net", FAMILIES, ids=lambda n: n.name)
     def test_full_semantics_match_sequential(self, net, shards):
-        sequential = full_analyze(net, want_witness=False)
+        sequential = full_analyze(net)
         outcome = explore_parallel(
             net, shards=shards, batch=False, workers="inline"
         )
@@ -96,7 +96,7 @@ class TestCountInvariance:
         from repro.net.exceptions import UnsafeNetError
 
         try:
-            sequential = full_analyze(net, want_witness=False, max_states=2000)
+            sequential = full_analyze(net, max_states=2000)
         except UnsafeNetError:
             with pytest.raises(UnsafeNetError):
                 explore_parallel(net, shards=3, workers="inline")
@@ -139,7 +139,7 @@ class TestBudgetsAndProperties:
 
     def test_analyze_parallel_matches_sequential_result(self):
         net = over(3)
-        sequential = full_analyze(net, want_witness=False)
+        sequential = full_analyze(net)
         result = analyze_parallel(net, shards=2, workers="inline")
         assert result.exhaustive
         assert result.states == sequential.states
@@ -154,7 +154,7 @@ class TestEnginePlumbing:
             budget=Budget(extra={"shards": 2, "workers": "inline"}),
         )
         result = execute_job(job)
-        sequential = full_analyze(nsdp(4), want_witness=False)
+        sequential = full_analyze(nsdp(4))
         assert result.exhaustive
         assert result.states == sequential.states
         assert result.deadlock == sequential.deadlock

@@ -9,8 +9,8 @@ import json
 
 from repro.analysis import analyze
 from repro.engine.events import JsonlEventSink
+from repro.engine.jobs import Budget
 from repro.harness import DEFAULT_SIZES, PROBLEMS, run_table1
-from repro.harness.runner import Budget
 from repro.models import asat, modem, nsdp, over, rw
 from repro.net import check_safe
 from repro.static import certify_safety, deadlock_freedom_precheck

@@ -20,8 +20,8 @@ class TestVerify:
 
     def test_kwargs_forwarded(self):
         assert verify(choice_net(), method="gpo").witness is not None
-        result = verify(choice_net(), method="gpo", want_witness=False)
-        assert result.deadlock and result.witness is None
+        result = verify(rw(3), method="full", max_states=5)
+        assert not result.exhaustive and result.states == 5
 
     def test_unknown_method(self):
         # The message lists the engine registry verify() dispatches through.
