@@ -17,7 +17,7 @@ Run:  python examples/arbiter_mutex.py [n_users] [--dot]
 import sys
 
 from repro import query
-from repro.analysis import analyze as full_analyze, explore
+from repro.analysis import analyze as full_analyze, explore, fired_edges
 from repro.gpo import analyze as gpo_analyze
 from repro.models import asat
 from repro.net import net_to_dot, reachability_to_dot
@@ -59,7 +59,7 @@ def main(n: int = 4, write_dot: bool = False):
                 reachability_to_dot(
                     net,
                     graph.states(),
-                    graph.edges(),
+                    fired_edges(net, graph.states()),
                     initial=net.initial_marking,
                     deadlocks=graph.deadlocks,
                 )

@@ -10,6 +10,7 @@ from repro.analysis.reachability import (
     analyze,
     dead_transitions,
     explore,
+    fired_edges,
     reachable_markings,
 )
 from repro.analysis.stats import (
@@ -25,6 +26,7 @@ __all__ = [
     "analyze",
     "reachable_markings",
     "dead_transitions",
+    "fired_edges",
     "AnalysisResult",
     "DeadlockWitness",
     "ExplorationLimitReached",

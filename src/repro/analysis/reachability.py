@@ -20,6 +20,8 @@ independent oracle space (``tests/oracle.py``).
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from repro.analysis.frame import analyzer_frame
 from repro.analysis.stats import AnalysisResult
 from repro.net.petrinet import Marking, PetriNet
@@ -43,6 +45,7 @@ __all__ = [
     "dead_transitions",
     "explore",
     "extract_witness",
+    "fired_edges",
     "reachable_markings",
 ]
 
@@ -50,12 +53,14 @@ __all__ = [
 class KernelMarkingSpace:
     """The full interleaving semantics as a :class:`SearchSpace`.
 
-    States are ``int`` bitmasks.  Each stored state's enabled set is kept
-    as a transition bitmask in ``_enabled_masks``; a successor's mask is
-    derived from its predecessor's by re-testing only the transitions
+    States are ``int`` bitmasks.  Each frontier state's enabled set is
+    kept as a transition bitmask in ``_enabled_masks``; a successor's mask
+    is derived from its predecessor's by re-testing only the transitions
     whose preset touches the fired transition's preset/postset
     (``kernel.affected``), which turns the per-state enabling cost from
-    O(|T|·|preset|) into O(affected).
+    O(|T|·|preset|) into O(affected).  A state's mask is dropped when the
+    state is expanded and derived only for successors the search has not
+    stored yet, so the dict never holds more than the frontier.
     """
 
     def __init__(self, net: PetriNet) -> None:
@@ -81,11 +86,12 @@ class KernelMarkingSpace:
         kernel = self.kernel
         labels = self.net.transitions
         masks = self._enabled_masks
+        stored = ctx.graph.raw_index()
         clear_mask = kernel.clear_mask
         post_mask = kernel.post_mask
         update = kernel.update_enabled_mask
         out: list[tuple[str, int]] = []
-        enabled = mask = masks[bits]
+        enabled = mask = masks.pop(bits)
         while mask:
             low = mask & -mask
             mask ^= low
@@ -95,7 +101,7 @@ class KernelMarkingSpace:
             if cleared & post:
                 kernel.fire_enabled(t, bits)  # raises UnsafeNetError
             successor = cleared | post
-            if successor not in masks:
+            if successor not in stored:
                 masks[successor] = update(enabled, t, successor)
             out.append((labels[t], successor))
         return out
@@ -155,14 +161,38 @@ def reachable_markings(
 def dead_transitions(
     net: PetriNet, *, max_states: int | None = None
 ) -> list[str]:
-    """Transitions that label no edge of the full reachability graph.
+    """Transitions enabled in no marking of the full reachability graph.
 
     These never fire in any reachable marking: the net is L1-live
     (quasi-live) exactly when the list is empty.
     """
-    graph = explore(net, max_states=max_states)
-    fired = {label for _, label, _ in graph.edges()}
-    return [t for t in net.transitions if t not in fired]
+    space = KernelMarkingSpace(net)
+    outcome = _drive(space, order="bfs", max_states=max_states)
+    raise_if_bounded(outcome, max_states=max_states, max_seconds=None)
+    enabled_mask = space.kernel.enabled_mask
+    live = 0
+    for bits in outcome.graph.states():
+        live |= enabled_mask(bits)
+    return [
+        name for t, name in enumerate(net.transitions) if not live >> t & 1
+    ]
+
+
+def fired_edges(
+    net: PetriNet, markings: Iterable[Marking]
+) -> Iterator[tuple[Marking, str, Marking]]:
+    """Every ``(source, label, target)`` edge out of ``markings``.
+
+    Fires each enabled transition of each marking, markings in the given
+    order and transitions in index order: over the states of a full
+    reachability graph this is its edge relation in the order the search
+    generated it.  The graph itself stores only its discovery tree; DOT
+    export recomputes the edges here.
+    """
+    transitions = net.transitions
+    for marking in markings:
+        for t, successor in net.successors(marking):
+            yield marking, transitions[t], successor
 
 
 @analyzer_frame("full")

@@ -19,6 +19,7 @@ workers (Table 1, the portfolio race).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -26,6 +27,7 @@ from repro.analysis import analyze as full_analyze
 from repro.analysis.stats import AnalysisResult
 from repro.gpo import analyze as gpo_analyze
 from repro.net.petrinet import PetriNet
+from repro.obs import names
 from repro.obs.names import INSTRUMENTATION_FIELDS
 from repro.props.ast import Deadlock, Property, UnsupportedPropertyError, places_of
 from repro.props.compat import reduction_level, unsupported_reason
@@ -35,6 +37,7 @@ from repro.props.parse import parse_property
 from repro.reduce.engine import MODES as REDUCE_MODES
 from repro.reduce.engine import Reduction, reduce_net
 from repro.reduce.trace import BackMapError, back_map_witness
+from repro.search.core import abort_note
 from repro.search.parallel import analyze_parallel
 from repro.stubborn import analyze as stubborn_analyze
 from repro.symbolic import analyze as symbolic_analyze
@@ -259,8 +262,12 @@ def execute_job(job: VerificationJob) -> AnalysisResult:
     The analyzer frame (:mod:`repro.analysis.frame`) absorbs overruns: the
     returned result then has ``exhaustive=False``, ``states`` equal to the
     progress actually made when the analyzer gave up and an
-    ``extras["aborted"]`` note.
+    ``extras["aborted"]`` note.  The job's clock starts before the
+    reduction pre-pass: ``time_seconds`` is the wall time of the whole
+    job, and the analyzer gets what the reduction left of
+    ``max_seconds``.
     """
+    start = time.perf_counter()
     fn = ANALYZERS[job.method]
     # PropertyError is a ValueError, so malformed queries reject the job
     # the same way unknown analyzers do.
@@ -282,20 +289,28 @@ def execute_job(job: VerificationJob) -> AnalysisResult:
     kwargs: dict[str, Any] = dict(budget.extra)
     if prop is not None:
         kwargs["prop"] = prop
-    if job.method == "symbolic":
-        # No explicit state count to bound; wall clock only.
-        if budget.max_seconds is not None:
-            kwargs.setdefault("max_seconds", budget.max_seconds)
-    else:
-        if job.method == "unfolding":
-            if budget.max_states is not None:
-                kwargs.setdefault("max_events", budget.max_states)
-        elif budget.max_states is not None:
-            kwargs.setdefault("max_states", budget.max_states)
-        if budget.max_seconds is not None:
-            kwargs.setdefault("max_seconds", budget.max_seconds)
+    if job.method == "unfolding":
+        if budget.max_states is not None:
+            kwargs.setdefault("max_events", budget.max_states)
+    elif job.method != "symbolic" and budget.max_states is not None:
+        # Symbolic has no explicit state count to bound; wall clock only.
+        kwargs.setdefault("max_states", budget.max_states)
+    left = None
+    if budget.max_seconds is not None:
+        left = max(0.0, budget.max_seconds - (time.perf_counter() - start))
+        kwargs.setdefault("max_seconds", left)
 
-    return _attach_reduction(job, reduction, fn(net, **kwargs))
+    result = fn(net, **kwargs)
+    if left is not None and result.extras.get(names.ABORTED) == abort_note(
+        "time-budget", max_seconds=left
+    ):
+        # The note names the job's budget, not the share the analyzer got.
+        result.extras[names.ABORTED] = abort_note(
+            "time-budget", max_seconds=budget.max_seconds
+        )
+    result = _attach_reduction(job, reduction, result)
+    result.time_seconds = time.perf_counter() - start
+    return result
 
 
 def _attach_reduction(

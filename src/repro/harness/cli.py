@@ -88,7 +88,7 @@ import json
 import sys
 
 from repro import verify
-from repro.analysis import explore
+from repro.analysis import explore, fired_edges
 from repro.engine.cache import ResultCache
 from repro.engine.events import EventSink, JsonlEventSink
 from repro.engine.jobs import ANALYZERS, Budget
@@ -543,7 +543,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
             reachability_to_dot(
                 net,
                 graph.states(),
-                graph.edges(),
+                fired_edges(net, graph.states()),
                 initial=net.initial_marking,
                 deadlocks=graph.deadlocks,
             )

@@ -68,13 +68,17 @@ class SearchSpace(Protocol[S]):
     """What an explorer must provide to run on the generic driver.
 
     ``successors`` must yield ``(edge label, successor state)`` pairs in a
-    deterministic order — the driver adds edges and schedules new states
-    exactly in that order, which is what makes the explored graph
-    reproducible.  ``is_deadlock`` is consulted once per expanded state,
-    *before* ``successors``; a deadlocked state may still yield successors
-    (the GPO ``on_deadlock="continue"`` regime).  Adapters that need the
-    same per-state computation in both methods should memoize it keyed on
-    state identity — the driver passes the identical object to both.
+    deterministic order — the driver stores new states (each with the
+    edge that first reached it) and schedules them exactly in that order,
+    which is what makes the explored graph reproducible.  ``is_deadlock``
+    is consulted once per expanded state, *before* ``successors``; a
+    deadlocked state may still yield successors (the GPO
+    ``on_deadlock="continue"`` regime).  Every state is expanded at most
+    once, so an adapter may drop its per-state data when it expands a
+    state and keep data only for successors absent from ``ctx.graph``:
+    the frontier.  Adapters that need the same per-state computation in
+    both methods should memoize it keyed on state identity — the driver
+    passes the identical object to both.
     """
 
     def initial(self) -> S:
@@ -257,11 +261,11 @@ def explore(
     depth_first = order == "dfs"
 
     # Hot-loop bindings: the loop below runs once per edge of graphs with
-    # hundreds of thousands of edges, so counters live in locals and the
-    # graph is updated through its index-based fast path (one dict probe
-    # per successor instead of ``add_edge``'s three).
-    index_get = graph.raw_index().get
-    edge_lists = graph.raw_edges()
+    # hundreds of thousands of edges, so counters live in locals and a
+    # successor costs one dict probe.  Only a new successor is stored
+    # (with its discovery parent and label); an edge into a stored state
+    # is just counted.
+    index = graph.raw_index()
     insert_new = graph.insert_new
     frontier_append = frontier.append
     # Passive observers (``observer.passive`` truthy, e.g. the tracing
@@ -314,20 +318,16 @@ def explore(
                 break
             if stop is not None:
                 break
-        source_index = index_get(state)
-        assert source_index is not None
-        out_edges = edge_lists[source_index]
+        source_index = index[state]
         for label, successor in space.successors(state, ctx):
             successor_total += 1
-            target_index = index_get(successor)
-            if target_index is None:
+            if successor not in index:
                 if num_states >= cap:
                     stop = "state-budget"
                     break
-                target_index = insert_new(successor)
+                insert_new(successor, source_index, label)
                 num_states += 1
                 frontier_append(successor)
-                out_edges.append((label, target_index))
                 if has_observers:
                     for observer in observers:
                         if observer.on_edge(state, label, successor, True):
@@ -337,15 +337,16 @@ def explore(
                             stop = "observer"
                     if stop is not None:
                         break
-            else:
-                out_edges.append((label, target_index))
-                if has_observers:
-                    for observer in observers:
-                        if observer.on_edge(state, label, successor, False):
-                            stop = "observer"
-                    if stop is not None:
-                        break
+            elif has_observers:
+                for observer in observers:
+                    if observer.on_edge(state, label, successor, False):
+                        stop = "observer"
+                if stop is not None:
+                    break
 
+    # Every generated successor is an edge, except the one the state
+    # budget refused to store.
+    graph.num_edges = successor_total - (stop == "state-budget")
     stats.states = num_states
     stats.expanded = expanded
     stats.deadlocks = deadlocks

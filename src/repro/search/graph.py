@@ -1,10 +1,16 @@
-"""Labelled reachability graphs.
+"""Discovery trees of explored state spaces.
 
 A :class:`ReachabilityGraph` stores the states discovered by any explorer
 driven through :mod:`repro.search.core` (full, stubborn-set reduced,
 generalized partial-order, timed state classes — each with its own state
-type) together with labelled edges, the initial state, and the set of
-deadlock states.
+type) as the search's *discovery tree*: every state but the initial one
+keeps the index of the state it was first reached from and the label of
+that edge.  Edges into already-stored states are only counted, so the
+store costs one parent index and one label reference per state instead
+of one tuple per edge.  The tree is all a counterexample trace needs
+(:meth:`ReachabilityGraph.path_to` walks it in O(depth)); readers that
+want every edge of a full graph recompute them from the stored markings
+(:func:`repro.analysis.reachability.fired_edges`).
 
 States may be any hashable objects; for the classical analyzers they are
 ``frozenset`` markings.
@@ -12,7 +18,6 @@ States may be any hashable objects; for the classical analyzers they are
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Generic, Hashable, Iterator, TypeVar
 
 __all__ = ["ReachabilityGraph"]
@@ -22,13 +27,20 @@ R = TypeVar("R", bound=Hashable)
 
 
 class ReachabilityGraph(Generic[S]):
-    """A rooted, edge-labelled directed graph over hashable states."""
+    """A rooted discovery tree over hashable states, plus an edge count.
+
+    ``num_edges`` counts every edge the search generated, tree edges and
+    edges into already-stored states alike (parallel edges with distinct
+    labels count separately).
+    """
 
     def __init__(self, initial: S) -> None:
         self.initial: S = initial
         self._index: dict[S, int] = {initial: 0}
         self._states: list[S] = [initial]
-        self._edges: list[list[tuple[str, int]]] = [[]]
+        self._parents: list[int] = [-1]
+        self._labels: list[str] = [""]
+        self.num_edges = 0
         self.deadlocks: set[S] = set()
 
     # ------------------------------------------------------------------
@@ -43,33 +55,10 @@ class ReachabilityGraph(Generic[S]):
         """Number of distinct states."""
         return len(self._states)
 
-    @property
-    def num_edges(self) -> int:
-        """Number of edges (parallel edges with distinct labels count)."""
-        return sum(len(out) for out in self._edges)
-
     def states(self) -> Iterator[S]:
         """Iterate states in discovery order (initial state first)."""
         return iter(self._states)
 
-    def add_state(self, state: S) -> bool:
-        """Insert a state; returns True when it was new."""
-        if state in self._index:
-            return False
-        self._index[state] = len(self._states)
-        self._states.append(state)
-        self._edges.append([])
-        return True
-
-    def add_edge(self, source: S, label: str, target: S) -> None:
-        """Insert an edge; both endpoints are added when missing."""
-        self.add_state(source)
-        self.add_state(target)
-        self._edges[self._index[source]].append(
-            (label, self._index[target])
-        )
-
-    # -- index-based fast path (used by the search driver) -------------
     def index_of(self, state: S) -> int:
         """Index of an already-stored state (KeyError when missing)."""
         return self._index[state]
@@ -77,108 +66,67 @@ class ReachabilityGraph(Generic[S]):
     def raw_index(self) -> dict[S, int]:
         """The state→index mapping itself.
 
-        The search driver binds its ``.get`` once and probes it per
-        successor — one dict operation instead of the three
-        :meth:`add_edge` performs.  Treat the mapping as read-only.
+        The search driver and the kernel spaces probe it once per
+        successor.  Treat the mapping as read-only.
         """
         return self._index
 
-    def raw_edges(self) -> list[list[tuple[str, int]]]:
-        """The per-state outgoing-edge lists, indexed like the states.
-
-        The driver appends ``(label, target_index)`` pairs directly —
-        the list object is stable (``insert_new`` mutates it in place),
-        so binding it once per search is safe.
-        """
-        return self._edges
-
-    def insert_new(self, state: S) -> int:
-        """Append a state known to be absent; returns its new index."""
+    def insert_new(self, state: S, parent: int, label: str) -> int:
+        """Store a state known to be absent, first reached from the state
+        at index ``parent`` by an edge labelled ``label``; returns its
+        new index."""
         index = len(self._states)
         self._index[state] = index
         self._states.append(state)
-        self._edges.append([])
+        self._parents.append(parent)
+        self._labels.append(label)
         return index
 
-    def append_edge(
-        self, source_index: int, label: str, target_index: int
-    ) -> None:
-        """Append an edge between already-stored states, by index."""
-        self._edges[source_index].append((label, target_index))
-
     def mark_deadlock(self, state: S) -> None:
-        """Record ``state`` as a deadlock."""
-        self.add_state(state)
+        """Record the stored ``state`` as a deadlock."""
         self.deadlocks.add(state)
-
-    def successors(self, state: S) -> list[tuple[str, S]]:
-        """Outgoing ``(label, target)`` pairs of a state."""
-        return [
-            (label, self._states[target])
-            for label, target in self._edges[self._index[state]]
-        ]
-
-    def edges(self) -> Iterator[tuple[S, str, S]]:
-        """Iterate all edges as ``(source, label, target)``."""
-        for source_index, out in enumerate(self._edges):
-            source = self._states[source_index]
-            for label, target in out:
-                yield (source, label, self._states[target])
 
     # ------------------------------------------------------------------
     def map_states(self, fn: Callable[[S], R]) -> "ReachabilityGraph[R]":
         """Structure-preserving state translation (e.g. int → frozenset).
 
         Returns a new graph with every state replaced by ``fn(state)``,
-        keeping discovery order, edges (by index — structure is preserved
-        even if ``fn`` were non-injective) and deadlock markings.  This is
-        the decode boundary for explorers that carry packed integer
-        markings internally (:mod:`repro.net.kernel`) but report
-        classical-marking graphs.
+        keeping discovery order, the tree (by index — structure is
+        preserved even if ``fn`` were non-injective), the edge count and
+        the deadlock markings.  This is the decode boundary for explorers
+        that carry packed integer markings internally
+        (:mod:`repro.net.kernel`) but report classical-marking graphs.
         """
         mapped: ReachabilityGraph[R] = ReachabilityGraph(fn(self.initial))
         for state in self._states[1:]:
             translated = fn(state)
             mapped._index[translated] = len(mapped._states)
             mapped._states.append(translated)
-        mapped._edges = [list(out) for out in self._edges]
+        mapped._parents = list(self._parents)
+        mapped._labels = list(self._labels)
+        mapped.num_edges = self.num_edges
         mapped.deadlocks = {fn(state) for state in self.deadlocks}
         return mapped
 
     def path_to(self, goal: S) -> list[tuple[str, S]] | None:
-        """Shortest edge path from the initial state to ``goal``.
+        """The discovery path from the initial state to ``goal``.
 
         Returns ``[(label, state), ...]`` ending at ``goal``, the empty list
-        when ``goal`` is the initial state, or ``None`` when unreachable
-        inside this graph.  Used for counterexample traces.
+        when ``goal`` is the initial state, or ``None`` when ``goal`` was
+        never stored.  Under breadth-first search this is a shortest path
+        (the first edge into each state wins).  Used for counterexample
+        traces.
         """
-        if goal not in self._index:
+        node = self._index.get(goal)
+        if node is None:
             return None
-        goal_index = self._index[goal]
-        if goal_index == 0:
-            return []
-        parent: dict[int, tuple[int, str]] = {0: (-1, "")}
-        queue = deque([0])
-        while queue:
-            current = queue.popleft()
-            for label, target in self._edges[current]:
-                if target in parent:
-                    continue
-                parent[target] = (current, label)
-                if target == goal_index:
-                    return self._unwind(parent, goal_index)
-                queue.append(target)
-        return None
-
-    def _unwind(
-        self, parent: dict[int, tuple[int, str]], goal_index: int
-    ) -> list[tuple[str, S]]:
+        parents = self._parents
+        labels = self._labels
+        states = self._states
         path: list[tuple[str, S]] = []
-        node = goal_index
-        while node != 0:
-            previous, label = parent[node]
-            path.append((label, self._states[node]))
-            node = previous
+        while node > 0:
+            path.append((labels[node], states[node]))
+            node = parents[node]
         path.reverse()
         return path
 

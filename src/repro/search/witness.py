@@ -59,24 +59,17 @@ def extract_witness(
     Graph states are classical markings by default; explorers carrying
     packed integer markings pass their kernel's ``decode`` so the witness
     crosses back to the frozenset representation here, at the report
-    boundary.  Ties between equally short deadlocks break on discovery
-    order (not ``deadlocks``-set iteration order), so the kernel
-    explorers and a frozenset reference extract the *same* witness from
-    their byte-identical graphs.
+    boundary.  The deadlock with the shallowest discovery path wins, ties
+    broken on discovery order (not ``deadlocks``-set iteration order), so
+    the kernel explorers and a frozenset reference extract the *same*
+    witness from their byte-identical graphs.  Under breadth-first search
+    the discovery path is a shortest path.
     """
-    deadlocks = graph.deadlocks
-    best: tuple[int, S, list[tuple[str, S]]] | None = None
-    for state in graph.states():
-        if state not in deadlocks:
-            continue
-        path = graph.path_to(state)
-        if path is None:
-            continue
-        if best is None or len(path) < best[0]:
-            best = (len(path), state, path)
-    if best is None:
+    if not graph.deadlocks:
         return None
-    _, state, path = best
+    paths = {dead: graph.path_to(dead) or [] for dead in graph.deadlocks}
+    state = min(paths, key=lambda dead: (len(paths[dead]), graph.index_of(dead)))
+    path = paths[state]
     marking = decode(state) if decode is not None else state
     return DeadlockWitness(
         marking=net.marking_names(marking),
@@ -92,7 +85,7 @@ def state_witness(
     decode: "Callable[[S], Marking] | None" = None,
     label: str = "goal",
 ) -> DeadlockWitness | None:
-    """Shortest trace to one specific explored state.
+    """Discovery trace to one specific explored state.
 
     The property layer's goal observers use this to turn the state that
     decided a ``reachable``/``invariant`` question into a replayable

@@ -40,10 +40,11 @@ class KernelStubbornSpace:
     """Stubborn-set reduced successors as a :class:`SearchSpace`.
 
     In every marking only the enabled part of one stubborn set fires.
-    States are ``int`` bitmasks; each stored state's full enabled set is
+    States are ``int`` bitmasks; each frontier state's full enabled set is
     maintained incrementally as a transition bitmask (only the
-    transitions touching the fired preset/postset are re-tested), and the
-    stubborn closure runs on the kernel's precompiled masks.
+    transitions touching the fired preset/postset are re-tested, and a
+    mask is dropped when its state is expanded), and the stubborn closure
+    runs on the kernel's precompiled masks.
     ``enabled_total`` / ``fired_total`` accumulate the full and reduced
     enabled-set sizes over all expanded states, giving the reduction
     ratio reported in the instrumentation extras.
@@ -105,12 +106,14 @@ class KernelStubbornSpace:
         update = kernel.update_enabled_mask
         labels = self.net.transitions
         masks = self._enabled_masks
-        enabled = masks[bits]
+        stored = ctx.graph.raw_index()
+        to_fire = self._to_fire(bits)
+        enabled = masks.pop(bits)
         out: list[tuple[str, int]] = []
         append = out.append
-        for t in self._to_fire(bits):
+        for t in to_fire:
             successor = fire(t, bits)
-            if successor not in masks:
+            if successor not in stored:
                 masks[successor] = update(enabled, t, successor)
             append((labels[t], successor))
         return out

@@ -67,12 +67,16 @@ class CutSpace:
     States are ``int`` condition bitmasks (bit ``c`` = condition ``c``
     lies on the cut).  Per event, one table row built once per prefix:
     its preset and postset condition masks, the clear mask of the places
-    it consumes, the mask of the places it produces, and its transition
-    name.  An event is enabled at a cut holding its whole preset, and
-    firing it replaces the preset by the postset.  Each cut's
-    place-bitmask marking is derived from its parent's marking when the
-    cut is first generated, so the deadlock test is a kernel check on
-    ints.
+    it consumes, the mask of the places it produces, its transition
+    name, and what firing it does to the enabled events.  An event is
+    enabled at a cut holding its whole preset, and firing it replaces
+    the preset by the postset: every event consuming a preset condition
+    is disabled, and only events consuming a postset condition can
+    become enabled.  So each frontier cut's enabled events are kept as a
+    mask derived from its parent's by re-testing just the latter, and
+    dropped when the cut is expanded.  Each cut's place-bitmask marking
+    is derived from its parent's marking when the cut is first
+    generated, so the deadlock test is a kernel check on ints.
     """
 
     def __init__(self, prefix: Prefix) -> None:
@@ -80,30 +84,51 @@ class CutSpace:
         self.kernel = kernel = net.kernel()
         initial = 0
         postsets = [0] * prefix.num_events
+        produced: list[list[int]] = [[] for _ in prefix.events]
         for condition in prefix.conditions:
             if condition.producer is None:
                 initial |= 1 << condition.index
             else:
                 postsets[condition.producer] |= 1 << condition.index
-        events: list[tuple[int, int, int, int, str]] = []
+                produced[condition.producer].append(condition.index)
+        presets = [0] * prefix.num_events
+        consumers: list[list[int]] = [[] for _ in prefix.conditions]
         for event in prefix.events:
-            preset = 0
             for condition_index in event.preset:
-                preset |= 1 << condition_index
+                presets[event.index] |= 1 << condition_index
+                consumers[condition_index].append(event.index)
+        rows = []
+        for event in prefix.events:
+            # Firing disables every consumer of a preset condition; only
+            # consumers of a postset condition can become enabled, so
+            # those are the ``(bit, preset)`` pairs to re-test.
+            disabled = {f for c in event.preset for f in consumers[c]}
+            gained = {
+                f for c in produced[event.index] for f in consumers[c]
+            } - disabled
             t = event.transition
-            events.append(
+            rows.append(
                 (
-                    preset,
+                    presets[event.index],
                     postsets[event.index],
                     kernel.clear_mask[t],
                     kernel.post_mask[t],
                     net.transitions[t],
+                    ~sum(1 << f for f in disabled),
+                    tuple((1 << f, presets[f]) for f in sorted(gained)),
                 )
             )
-        self._events = tuple(events)
+        self._events = tuple(rows)
         self._initial = initial
         self._markings: dict[int, int] = {
             initial: kernel.encode(net.initial_marking)
+        }
+        self._enabled: dict[int, int] = {
+            initial: sum(
+                1 << index
+                for index, preset in enumerate(presets)
+                if initial & preset == preset
+            )
         }
 
     def initial(self) -> int:
@@ -116,14 +141,27 @@ class CutSpace:
         self, cut: int, ctx: SearchContext[int]
     ) -> list[tuple[str, int]]:
         markings = self._markings
+        masks = self._enabled
+        stored = ctx.graph.raw_index()
+        events = self._events
         marking = markings[cut]
+        enabled = mask = masks.pop(cut)
         out: list[tuple[str, int]] = []
-        for preset, postset, clear, produced, label in self._events:
-            if cut & preset == preset:
-                successor = (cut ^ preset) | postset
-                if successor not in markings:
-                    markings[successor] = (marking & clear) | produced
-                out.append((label, successor))
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            preset, postset, clear, post, label, keep, retest = events[
+                low.bit_length() - 1
+            ]
+            successor = (cut ^ preset) | postset
+            if successor not in stored:
+                markings[successor] = (marking & clear) | post
+                derived = enabled & keep
+                for bit, other in retest:
+                    if successor & other == other:
+                        derived |= bit
+                masks[successor] = derived
+            out.append((label, successor))
         return out
 
     def marking_of(self, cut: int) -> Marking:

@@ -1,5 +1,7 @@
 """Tests for job specs and budgeted in-process execution."""
 
+import time
+
 import pytest
 
 from repro.engine.jobs import (
@@ -83,6 +85,23 @@ class TestCooperativeDeadlines:
         result = execute_job(job)
         assert result.exhaustive
         assert result.deadlock
+
+    def test_reduction_runs_inside_the_job_clock(self):
+        # A fresh net pays for its reduction fixpoint inside the job:
+        # ``time_seconds`` is the job's wall time and the budget covers
+        # the reduction as well as the search.
+        job = VerificationJob(
+            net=nsdp(10),
+            method="full",
+            budget=Budget(max_states=None, max_seconds=0.1),
+            reduce="auto",
+        )
+        start = time.perf_counter()
+        result = execute_job(job)
+        wall = time.perf_counter() - start
+        assert result.extras["aborted"] == "> 0.1s"
+        assert abs(result.time_seconds - wall) < 0.005
+        assert wall < 0.1 + 0.02
 
 
 class TestOverrunProgressReporting:

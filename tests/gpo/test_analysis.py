@@ -17,7 +17,7 @@ from repro.models import (
 from repro.obs import names
 from repro.obs.summary import build_summary
 from repro.obs.tracer import Tracer, activate
-from tests.oracle import oracle_explore_gpo
+from tests.oracle import discovery_tree, oracle_explore_gpo
 
 #: Family representation -> GPO explorer.
 EXPLORERS = {"explicit": oracle_explore_gpo, "bdd": explore_gpo}
@@ -168,8 +168,11 @@ class TestSoundnessRegressions:
 class TestTraceLabels:
     def test_multiple_firing_label(self):
         result = explore_gpo(choice_net())
-        labels = [label for _, label, _ in result.graph.edges()]
-        assert labels == ["{a,b}"]
+        assert discovery_tree(result.graph) == [
+            None,
+            ("{a,b}", result.graph.initial),
+        ]
+        assert result.graph.num_edges == 1
 
     def test_witness_trace_uses_labels(self):
         result = explore_gpo(nsdp(2))

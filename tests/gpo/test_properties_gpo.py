@@ -30,7 +30,7 @@ from repro.gpo import (
 from repro.net.exceptions import UnsafeNetError
 
 from tests.conftest import safe_nets, state_machine_nets
-from tests.oracle import oracle_explore_gpo
+from tests.oracle import discovery_tree, oracle_explore_gpo
 
 COMMON = dict(
     max_examples=40,
@@ -154,9 +154,10 @@ def test_backends_agree(net):
     assert [mapping(explicit.gpn, s) for s in explicit.graph.states()] == [
         mapping(bdd.gpn, s) for s in bdd.graph.states()
     ]
-    assert [label for _, label, _ in explicit.graph.edges()] == [
-        label for _, label, _ in bdd.graph.edges()
+    assert [link and link[0] for link in discovery_tree(explicit.graph)] == [
+        link and link[0] for link in discovery_tree(bdd.graph)
     ]
+    assert explicit.graph.num_edges == bdd.graph.num_edges
     assert [dead.as_frozensets() for _, dead in explicit.deadlock_states] == [
         dead.as_frozensets() for _, dead in bdd.deadlock_states
     ]

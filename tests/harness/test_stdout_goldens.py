@@ -138,3 +138,17 @@ def test_safety_stdout(nets, name, capsys):
 @pytest.mark.parametrize("name", sorted(REACH_CASES))
 def test_reach_stdout(nets, name, capsys):
     _query_stdout(nets, capsys, name, REACH_CASES[name])
+
+
+#: golden file -> net for ``gpo dot --rg``: the full reachability graph's
+#: states in discovery order and its edges, byte for byte.
+DOT_RG_CASES = {
+    "dot_rg_rw2.txt": "rw2",
+    "dot_rg_nsdp3.txt": "nsdp3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_RG_CASES))
+def test_dot_rg_stdout(nets, name, capsys):
+    assert main(["dot", nets[DOT_RG_CASES[name]], "--rg"]) == 0
+    assert capsys.readouterr().out == golden(name)

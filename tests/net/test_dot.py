@@ -1,6 +1,6 @@
 """Tests for DOT export of nets and reachability graphs."""
 
-from repro.analysis import explore
+from repro.analysis import explore, fired_edges
 from repro.models import choice_net
 from repro.net import net_to_dot, reachability_to_dot
 
@@ -42,7 +42,7 @@ class TestReachabilityToDot:
         dot = reachability_to_dot(
             net,
             graph.states(),
-            graph.edges(),
+            fired_edges(net, graph.states()),
             initial=net.initial_marking,
             deadlocks=graph.deadlocks,
         )
@@ -57,7 +57,7 @@ class TestReachabilityToDot:
         dot = reachability_to_dot(
             net,
             graph.states(),
-            graph.edges(),
+            fired_edges(net, graph.states()),
             state_label=lambda s: f"S{len(s)}",
         )
         assert "S1" in dot

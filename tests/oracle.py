@@ -10,6 +10,11 @@ deliberately plain references to hold them to:
   :meth:`~repro.net.petrinet.PetriNet.fire`, so the kernel explorers must
   match them: same states in the same discovery order, same edges, same
   deadlocks, same safety verdicts.
+* **Edge relations and witnesses.**  :func:`oracle_edges` and
+  :func:`oracle_cut_edges` recompute, with a plain breadth-first loop of
+  their own, the full, stubborn-set and prefix-cut edge relations the
+  search graph only counts; :func:`oracle_witness` finds the shortest
+  trace to a deadlock over them (ties broken by discovery order).
 * **Scenario families.**  :class:`ExplicitFamily` stores a family of
   transition sets as a frozenset of frozensets, with the same duck-typed
   interface as :class:`~repro.families.bddfam.BddFamily`.
@@ -19,7 +24,8 @@ deliberately plain references to hold them to:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from collections import deque
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.gpo.analysis import GpnSpace, GpoOptions, GpoResult
 from repro.gpo.gpn import Gpn
@@ -29,17 +35,23 @@ from repro.net.validation import SafetyCheck
 from repro.search.core import SearchContext, explore, raise_if_bounded
 from repro.search.graph import ReachabilityGraph
 from repro.stubborn.stubborn import stubborn_enabled_mask
+from repro.unfolding.prefix import Prefix
 
 __all__ = [
     "ExplicitContext",
     "ExplicitFamily",
     "OracleMarkingSpace",
     "OracleStubbornSpace",
+    "cut_marking",
+    "discovery_tree",
     "oracle_check_safe",
+    "oracle_cut_edges",
+    "oracle_edges",
     "oracle_explore",
     "oracle_explore_gpo",
     "oracle_explore_reduced",
     "oracle_gpn",
+    "oracle_witness",
 ]
 
 
@@ -121,6 +133,115 @@ def oracle_explore_reduced(
 ) -> ReachabilityGraph[Marking]:
     """The stubborn-set reduced graph, breadth-first, on frozensets."""
     return _explore(OracleStubbornSpace(net), max_states)
+
+
+S = TypeVar("S", bound=Hashable)
+
+#: An edge relation in discovery order: the states, and per state its
+#: ``(label, target index)`` edges in generation order.
+EdgeRelation = tuple[list[S], list[list[tuple[str, int]]]]
+
+
+def discovery_tree(graph: ReachabilityGraph[S]) -> list[tuple[str, S] | None]:
+    """Each stored state's discovery edge as ``(label, parent state)``, in
+    discovery order (``None`` for the initial state)."""
+    tree: list[tuple[str, S] | None] = []
+    for state in graph.states():
+        path = graph.path_to(state) or []
+        if not path:
+            tree.append(None)
+        else:
+            tree.append((path[-1][0], path[-2][1] if len(path) > 1 else graph.initial))
+    return tree
+
+
+def _bfs_edges(
+    initial: S, step: Callable[[S], list[tuple[str, S]]]
+) -> EdgeRelation[S]:
+    index = {initial: 0}
+    states = [initial]
+    edges: list[list[tuple[str, int]]] = []
+    while len(edges) < len(states):
+        out = []
+        for label, successor in step(states[len(edges)]):
+            if successor not in index:
+                index[successor] = len(states)
+                states.append(successor)
+            out.append((label, index[successor]))
+        edges.append(out)
+    return states, edges
+
+
+def oracle_edges(net: PetriNet, *, reduced: bool = False) -> EdgeRelation[Marking]:
+    """The full (or stubborn-set reduced) edge relation on frozensets."""
+    space = OracleStubbornSpace(net) if reduced else OracleMarkingSpace(net)
+    return _bfs_edges(net.initial_marking, lambda m: space.successors(m, None))
+
+
+def oracle_cut_edges(prefix: Prefix) -> EdgeRelation[frozenset[int]]:
+    """The edge relation of a prefix's cuts, as condition-index sets.
+
+    An event is enabled at a cut holding its whole preset; firing it
+    swaps the preset for the conditions it produced.  Events are tried
+    in index order.
+    """
+    postsets: dict[int, set[int]] = {e.index: set() for e in prefix.events}
+    for condition in prefix.conditions:
+        if condition.producer is not None:
+            postsets[condition.producer].add(condition.index)
+    initial = frozenset(
+        c.index for c in prefix.conditions if c.producer is None
+    )
+    labels = prefix.net.transitions
+
+    def step(cut: frozenset[int]) -> list[tuple[str, frozenset[int]]]:
+        return [
+            (labels[event.transition], (cut - set(event.preset)) | postsets[event.index])
+            for event in prefix.events
+            if set(event.preset) <= cut
+        ]
+
+    return _bfs_edges(initial, step)
+
+
+def cut_marking(prefix: Prefix, cut: frozenset[int]) -> Marking:
+    """The marking a cut represents: the places of its conditions."""
+    return frozenset(prefix.conditions[c].place for c in cut)
+
+
+def oracle_witness(
+    relation: EdgeRelation[S], is_deadlock: Callable[[S], bool]
+) -> tuple[str, ...] | None:
+    """Trace of a shortest path to the nearest deadlock.
+
+    Distances come from a breadth-first search over ``relation`` in which
+    the first edge into a state is its parent; equally near deadlocks
+    break on discovery order.  ``None`` when no state is a deadlock.
+    """
+    states, edges = relation
+    parent: dict[int, tuple[int, str] | None] = {0: None}
+    queue = deque([0])
+    while queue:
+        current = queue.popleft()
+        for label, target in edges[current]:
+            if target not in parent:
+                parent[target] = (current, label)
+                queue.append(target)
+
+    def trace(node: int) -> list[str]:
+        steps = []
+        link = parent[node]
+        while link is not None:
+            node, label = link
+            steps.append(label)
+            link = parent[node]
+        return steps[::-1]
+
+    dead = [i for i, state in enumerate(states) if is_deadlock(state)]
+    if not dead:
+        return None
+    best = min(dead, key=lambda i: (len(trace(i)), i))
+    return tuple(trace(best))
 
 
 def oracle_check_safe(net: PetriNet, *, max_states: int = 100_000) -> SafetyCheck:

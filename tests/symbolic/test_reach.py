@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.analysis import TimeLimitReached, reachable_markings
-from repro.analysis.reachability import KernelMarkingSpace
 from repro.models import (
     choice_net,
     concurrent_net,
@@ -105,13 +104,13 @@ class TestAnalyze:
         result = analyze(net, max_seconds=0.05)
         assert not result.exhaustive
         radius = result.extras["iterations"]
-        space = KernelMarkingSpace(net)
-        ball = ring = {space.initial()}
+        kernel = net.kernel()
+        ball = ring = {kernel.initial}
         for _ in range(radius):
             ring = {
                 succ
                 for bits in ring
-                for _, succ in space.successors(bits, None)
+                for _, succ in kernel.successors(bits)
             } - ball
             ball = ball | ring
         assert result.states == len(ball)
