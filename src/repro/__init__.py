@@ -64,9 +64,10 @@ def verify(net: PetriNet, *, method: str = "gpo", **kwargs) -> AnalysisResult:
     order, the paper's contribution and the default), ``"full"``
     (conventional exhaustive reachability), ``"stubborn"`` (partial-order
     reduction), ``"symbolic"`` (BDD-based), ``"unfolding"`` (McMillan
-    complete-prefix) or ``"parallel"`` (sharded BFS).  Extra keyword
-    arguments are forwarded to the chosen analyzer's ``analyze``
-    function.
+    complete-prefix), ``"parallel"`` (sharded BFS) or ``"timed"``
+    (state classes; a plain net runs with every interval ``[0, inf)``).
+    Extra keyword arguments are forwarded to the chosen analyzer's
+    ``analyze`` function.
     """
     from repro.engine.jobs import ANALYZERS
 

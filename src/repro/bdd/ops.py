@@ -12,7 +12,7 @@ frontier's nodes above that level rather than the whole diagram.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.bdd.manager import ONE, ZERO, BddManager
 
@@ -129,10 +129,16 @@ def relprod(
     return walk(f, g)
 
 
+#: Nodes :func:`substitute` builds between two calls of its ``check``.
+CHECK_STRIDE = 1024
+
+
 def substitute(
     mgr: BddManager,
     f: int,
     literals: Sequence[tuple[int, bool, bool]],
+    *,
+    check: Callable[[], None] | None = None,
 ) -> int:
     """Cofactor and reassign a few variables of ``f`` in one walk.
 
@@ -148,17 +154,26 @@ def substitute(
     (see :class:`~repro.symbolic.encoding.SymbolicNet`), the same function
     ``rename(relprod(f, rel, current), next→current)`` computes over the
     transition's full current/next relation.
+
+    ``check`` (a deadline test that raises once time is up) is called
+    after every :data:`CHECK_STRIDE` result nodes, so one large image
+    cannot run far past a time budget; counting nodes keeps clock reads
+    off the per-node path.
     """
     lits = tuple(literals)
     if any(a[0] >= b[0] for a, b in zip(lits, lits[1:])):
         raise ValueError("substitute literals must have increasing levels")
     count = len(lits)
-    level, low, high, mk = mgr.level, mgr.low, mgr.high, mgr.mk
+    # The manager's node arrays, read directly as its own hot loops do:
+    # the saved accessor calls pay for the deadline countdown.
+    var, lo, hi, mk = mgr._var, mgr._lo, mgr._hi, mgr.mk
     # One memo per literal index: a node reached with different literals
     # still pending has different images.
     caches: list[dict[int, int]] = [{} for _ in lits]
+    countdown = CHECK_STRIDE
 
     def walk(node: int, index: int) -> int:
+        nonlocal countdown
         # ``index`` is the first literal not yet applied on this path.
         if index == count or node == ZERO:
             return node
@@ -166,15 +181,20 @@ def substitute(
         hit = cache.get(node)
         if hit is not None:
             return hit
-        top = level(node)
+        top = var[node]
         at, need, put = lits[index]
         if top < at:
-            result = mk(top, walk(low(node), index), walk(high(node), index))
+            result = mk(top, walk(lo[node], index), walk(hi[node], index))
         else:
-            below = node if top > at else (high(node) if need else low(node))
+            below = node if top > at else (hi[node] if need else lo[node])
             rest = walk(below, index + 1)
             result = mk(at, ZERO, rest) if put else mk(at, rest, ZERO)
         cache[node] = result
+        if check is not None:
+            countdown -= 1
+            if not countdown:
+                countdown = CHECK_STRIDE
+                check()
         return result
 
     return walk(f, 0)

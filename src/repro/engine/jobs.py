@@ -41,6 +41,8 @@ from repro.search.core import abort_note
 from repro.search.parallel import analyze_parallel
 from repro.stubborn import analyze as stubborn_analyze
 from repro.symbolic import analyze as symbolic_analyze
+from repro.timed import analyze as timed_analyze
+from repro.timed.tpn import TimedPetriNet
 from repro.unfolding import analyze as unfolding_analyze
 
 __all__ = [
@@ -64,6 +66,17 @@ ANALYZERS: dict[str, Callable[..., AnalysisResult]] = {
     # Sharded level-synchronized BFS; the shard count rides
     # ``Budget.extra`` (e.g. ``{"shards": 4}``).
     "parallel": analyze_parallel,
+    # State classes of a TimedPetriNet; a plain net runs as its untimed
+    # wrapper (every interval [0, inf)), whose classes are its markings.
+    "timed": timed_analyze,
+}
+
+#: The keyword each analyzer takes for ``Budget.max_states`` (``None``:
+#: symbolic has no explicit state count to bound; wall clock only).
+_STATE_BOUND: dict[str, str | None] = {
+    "symbolic": None,
+    "unfolding": "max_events",
+    "timed": "max_classes",
 }
 
 
@@ -111,9 +124,13 @@ class VerificationJob:
     the paper's Table 1 question, is the default).  An unknown ``method``
     or ``reduce`` mode raises :class:`ValueError` here, before any worker
     is forked for the job.
+
+    ``net`` may be a :class:`~repro.timed.tpn.TimedPetriNet` only for
+    the ``timed`` method and without reduction: the reduction rules do
+    not preserve timing.
     """
 
-    net: PetriNet
+    net: PetriNet | TimedPetriNet
     method: str = "gpo"
     budget: Budget = field(default_factory=Budget)
     query: str = "deadlock"
@@ -130,6 +147,14 @@ class VerificationJob:
                 f"unknown reduce mode {self.reduce!r}; expected one of "
                 f"{REDUCE_MODES}"
             )
+        if isinstance(self.net, TimedPetriNet) and (
+            self.method != "timed" or self.reduce != "off"
+        ):
+            raise ValueError(
+                "a TimedPetriNet runs only the timed analyzer, without "
+                f"reduction (got method={self.method!r}, "
+                f"reduce={self.reduce!r})"
+            )
 
     @property
     def label(self) -> str:
@@ -145,7 +170,7 @@ class VerificationJob:
         does not parse — the job then runs (and fails) on the original
         net, keeping the key total.
         """
-        if self.reduce == "off":
+        if self.reduce == "off" or isinstance(self.net, TimedPetriNet):
             return None
         try:
             prop = as_property(self.query)
@@ -289,12 +314,9 @@ def execute_job(job: VerificationJob) -> AnalysisResult:
     kwargs: dict[str, Any] = dict(budget.extra)
     if prop is not None:
         kwargs["prop"] = prop
-    if job.method == "unfolding":
-        if budget.max_states is not None:
-            kwargs.setdefault("max_events", budget.max_states)
-    elif job.method != "symbolic" and budget.max_states is not None:
-        # Symbolic has no explicit state count to bound; wall clock only.
-        kwargs.setdefault("max_states", budget.max_states)
+    state_bound = _STATE_BOUND.get(job.method, "max_states")
+    if state_bound is not None and budget.max_states is not None:
+        kwargs.setdefault(state_bound, budget.max_states)
     left = None
     if budget.max_seconds is not None:
         left = max(0.0, budget.max_seconds - (time.perf_counter() - start))

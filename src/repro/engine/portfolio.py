@@ -32,6 +32,7 @@ from repro.obs.context import current_context, new_trace_context, use_context
 from repro.obs.tracer import current_tracer
 from repro.props.compat import filter_methods
 from repro.props.eval import as_property
+from repro.timed.tpn import TimedPetriNet
 
 __all__ = ["DEFAULT_PORTFOLIO", "RaceOutcome", "run_race"]
 
@@ -86,7 +87,7 @@ class RaceOutcome:
 
 
 def run_race(
-    net: PetriNet,
+    net: PetriNet | TimedPetriNet,
     *,
     methods: Sequence[str] = DEFAULT_PORTFOLIO,
     budget: Budget | None = None,
@@ -119,7 +120,7 @@ def run_race(
     and maps its witness back to the original (see
     :mod:`repro.reduce`).
 
-    ``shards`` (``gpo race --shards N``) enters the sharded parallel
+    ``shards`` (``gpo query --shards N``) enters the sharded parallel
     explorer (:mod:`repro.search.parallel`) in the race as an extra
     ``"parallel"`` entry — it answers the deadlock question only, so
     the compat filter drops it from property races with a reason like

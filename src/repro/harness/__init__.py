@@ -13,7 +13,6 @@ from repro.harness.table1 import (
     PROBLEMS,
     Table1Row,
     format_table1,
-    run_instance,
     run_table1,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_SIZES",
     "PAPER_TABLE1",
     "Table1Row",
-    "run_instance",
     "run_table1",
     "format_table1",
     "figure1_series",

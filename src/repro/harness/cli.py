@@ -2,13 +2,11 @@
 
 Subcommands::
 
-    gpo verify FILE [--method gpo|full|stubborn|symbolic]
-                [--property PROP]    # decide PROP with one analyzer
-    gpo query FILE PROP       # decide a property: structural layer, then
+    gpo query FILE PROP [--methods gpo,symbolic] [--jobs N] [--shards N]
+                              # decide a property: structural layer, then
                               # a compat-filtered portfolio race
-    gpo race FILE [--methods gpo,symbolic] [--jobs N] [--property PROP]
-                [--shards N]  # N > 1 adds the sharded parallel explorer
-    gpo table1 [--problems NSDP,RW] [--jobs N] [--portfolio] [--stats]
+    gpo table1 [--problems NSDP,RW:2] [--jobs N] [--portfolio] [--stats]
+                              # Table 1 rows; NAME:SIZE selects one instance
     gpo figures [--figure 1|2|3]
     gpo profile FAMILY SIZE [--analyzer gpo|full|...|timed]
                 [--trace-out trace.json] [--metrics-out metrics.prom]
@@ -26,7 +24,6 @@ Subcommands::
                               # structural reduction: emit the shrunk net
                               # and its replayable back-mapping trace
     gpo dot FILE [--rg]       # DOT export of the net (or its full RG)
-    gpo bench-model NAME SIZE # run all analyzers on one benchmark instance
     gpo serve [--port 8080] [--jobs N] [--queue-capacity N]
                               # verification-as-a-service HTTP daemon
     gpo loadtest [--quick] [--requests N] [--out BENCH_serve.json]
@@ -37,39 +34,43 @@ Subcommands::
     gpo debug flight [--url URL] [--limit N] [--json]
                               # dump the daemon's flight-recorder ring
 
-``check`` decides 1-safeness with the structural certificate first (zero
-states explored) and falls back to the bounded dynamic check; exit status
-is 0 = safe, 1 = unsafe, 2 = unknown (bound exhausted).  ``table1`` and
-``bench-model`` accept ``--lint`` to refuse structurally broken models
-before spending any exploration budget.
+``query`` is the one command that decides a property and ``table1`` the
+one that prints benchmark rows.  ``check`` decides 1-safeness with the
+structural certificate first (zero states explored) and falls back to
+the bounded dynamic check; exit status is 0 = safe, 1 = unsafe,
+2 = unknown (bound exhausted).  ``table1 --lint`` refuses structurally
+broken models before spending any exploration budget.
 
 ``FILE`` is a net in the textual format of :mod:`repro.net.parser` or PNML
-(detected by a leading ``<``).
+(detected by a leading ``<``).  ``query --methods timed`` reads the
+textual format's ``@ [eft,lft]`` intervals and races the timed
+state-class analyzer alone; PNML carries no intervals and runs untimed.
 
 ``PROP`` is a :mod:`repro.props` property: ``deadlock``,
 ``reachable(<pred>)``, ``invariant(<pred>)``, ``safe``, or boolean
 combinations (``!``/``&``/``|``) of these; predicates are boolean
 combinations of place names plus bound comparisons (``p <= 1``).
-Property-taking commands share one exit convention: 0 = holds,
-1 = violated, 2 = undecided or refused.
+``query`` exits 0 = holds, 1 = violated, 2 = undecided or refused — for
+``deadlock`` too, so 0 means a deadlock exists.
 
-``table1`` / ``bench-model`` / ``race`` run through the parallel execution
-engine (:mod:`repro.engine`): ``--jobs N`` analyzer processes at a time,
+``table1`` / ``query`` run through the parallel execution engine
+(:mod:`repro.engine`): ``--jobs N`` analyzer processes at a time,
 hard-preempted at their deadline, with an on-disk result cache (disable
 with ``--no-cache``; directory from ``--cache-dir`` or ``$GPO_CACHE_DIR``,
 default ``.gpo-cache``) and a JSONL lifecycle-event log (``--events PATH``,
-default ``<cache-dir>/events.jsonl`` when caching is on).
+default ``<cache-dir>/events.jsonl`` when caching is on), which also
+records each raced method's status.
 
 ``profile`` runs one analyzer in-process under the observability layer
 (:mod:`repro.obs`) and prints the span tree; ``check`` / ``table1``
 accept ``--trace PATH`` / ``--metrics PATH`` to export a Chrome trace and
 Prometheus metrics from an otherwise normal run.
 
-``check`` / ``race`` / ``query`` / ``table1`` / ``bench-model`` accept
-``--reduce[=auto|aggressive]``: the :mod:`repro.reduce` structural
-pre-pass shrinks the net with property-preserving rules before any
-exploration, and every verdict, witness and trace is mapped back to
-the original net (``gpo reduce`` shows what the pre-pass would do).
+``check`` / ``query`` / ``table1`` accept ``--reduce[=auto|aggressive]``:
+the :mod:`repro.reduce` structural pre-pass shrinks the net with
+property-preserving rules before any exploration, and every verdict,
+witness and trace is mapped back to the original net (``gpo reduce``
+shows what the pre-pass would do).
 
 ``serve`` runs the long-lived verification daemon (:mod:`repro.serve`):
 nets are submitted over HTTP (native format or PNML), queued with
@@ -87,7 +88,6 @@ import argparse
 import json
 import sys
 
-from repro import verify
 from repro.analysis import explore, fired_edges
 from repro.engine.cache import ResultCache
 from repro.engine.events import EventSink, JsonlEventSink
@@ -99,7 +99,7 @@ from repro.harness.figures import (
     figure3_walkthrough,
     format_series,
 )
-from repro.harness.profile import PROFILE_ANALYZERS, observed, run_profile
+from repro.harness.profile import observed, run_profile
 from repro.obs import names
 from repro.obs.tracer import span as obs_span
 from repro.harness.table1 import (
@@ -114,6 +114,7 @@ from repro.net import (
     net_to_dot,
     parse_net,
     parse_pnml,
+    parse_timed_net,
     reachability_to_dot,
 )
 from repro.static import certify_safety
@@ -122,50 +123,14 @@ from repro.static import lint as run_lint
 __all__ = ["main"]
 
 
-def _load(path: str):
+def _load(path: str, *, timed: bool = False):
+    """Read a net file: PNML, or the textual format (with its intervals
+    as a :class:`~repro.timed.tpn.TimedPetriNet` when ``timed``)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if text.lstrip().startswith("<"):
         return parse_pnml(text)
-    return parse_net(text)
-
-
-def _verdict_exit(result) -> int:
-    """Map an :class:`AnalysisResult` to the CLI exit convention.
-
-    Property runs: 0 = holds, 1 = violated, 2 = undecided.  Legacy
-    deadlock runs: 0 = no deadlock, 1 = deadlock.  Shared by ``verify``,
-    ``race`` and ``query`` so the convention cannot drift.
-    """
-    if result.property_text is not None:
-        holds = result.property_holds
-        if holds is None:
-            return 2
-        return 0 if holds else 1
-    return 1 if result.deadlock else 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.props.ast import PropertyError
-
-    kwargs = {"prop": args.property} if args.property else {}
-    try:
-        if args.timed:
-            from repro.net import parse_timed_net
-            from repro.timed import analyze as timed_analyze
-
-            with open(args.file, "r", encoding="utf-8") as handle:
-                tpn = parse_timed_net(handle.read())
-            result = timed_analyze(tpn, **kwargs)
-        else:
-            result = verify(_load(args.file), method=args.method, **kwargs)
-    except PropertyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(result.describe())
-    if result.witness is not None:
-        print(str(result.witness))
-    return _verdict_exit(result)
+    return parse_timed_net(text) if timed else parse_net(text)
 
 
 def _engine_setup(
@@ -182,35 +147,57 @@ def _engine_setup(
     return cache, sink
 
 
+def _table1_selection(text: str | None) -> dict[str, list[int]] | None:
+    """``--problems`` as problem -> sizes; ``None`` after a usage error.
+
+    Items are ``NAME`` (its Table 1 sizes) or ``NAME:SIZE`` (one
+    instance); no selection means every problem at its Table 1 sizes.
+    """
+    if not text:
+        return {problem: list(DEFAULT_SIZES[problem]) for problem in PROBLEMS}
+    selection: dict[str, list[int]] = {}
+    for item in text.split(","):
+        problem, colon, size = item.partition(":")
+        if problem not in PROBLEMS:
+            print(f"unknown problem {problem!r}; choose from "
+                  f"{', '.join(PROBLEMS)}", file=sys.stderr)
+            return None
+        if colon and not size.isdigit():
+            print(f"bad instance {item!r}; expected NAME:SIZE with an "
+                  "integer SIZE", file=sys.stderr)
+            return None
+        sizes = selection.setdefault(problem, [])
+        for wanted in [int(size)] if colon else DEFAULT_SIZES[problem]:
+            if wanted not in sizes:
+                sizes.append(wanted)
+    return selection
+
+
 def _cmd_table1(args: argparse.Namespace) -> int:
-    problems = args.problems.split(",") if args.problems else None
-    if problems:
-        for problem in problems:
-            if problem not in PROBLEMS:
-                print(f"unknown problem {problem!r}; choose from "
-                      f"{', '.join(PROBLEMS)}", file=sys.stderr)
-                return 2
+    selection = _table1_selection(args.problems)
+    if selection is None:
+        return 2
     budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
     if args.lint:
         refusal = _lint_refusal(
             PROBLEMS[problem](size)
-            for problem in (problems or PROBLEMS)
-            for size in DEFAULT_SIZES[problem]
+            for problem, sizes in selection.items()
+            for size in sizes
         )
         if refusal is not None:
             return refusal
     with observed(trace_out=args.trace, metrics_out=args.metrics):
-        return _run_table1(args, problems, budget)
+        return _run_table1(args, selection, budget)
 
 
 def _run_table1(
-    args: argparse.Namespace, problems: list[str] | None, budget: Budget
+    args: argparse.Namespace, selection: dict[str, list[int]], budget: Budget
 ) -> int:
     cache, sink = _engine_setup(args)
     try:
         if args.portfolio:
-            for problem in problems or PROBLEMS:
-                for size in DEFAULT_SIZES[problem]:
+            for problem, sizes in selection.items():
+                for size in sizes:
                     outcome = run_race(
                         PROBLEMS[problem](size),
                         budget=budget,
@@ -222,7 +209,8 @@ def _run_table1(
                     print(outcome.describe())
             return 0
         rows = run_table1(
-            problems=problems,
+            problems=list(selection),
+            sizes=selection,
             budget=budget,
             jobs=args.jobs,
             cache=cache,
@@ -258,49 +246,21 @@ def _unknown_method(methods) -> bool:
     return False
 
 
-def _cmd_race(args: argparse.Namespace) -> int:
-    from repro.props.ast import PropertyError
-
-    net = _load(args.file)
-    methods = (
-        args.methods.split(",") if args.methods else list(DEFAULT_PORTFOLIO)
-    )
-    if _unknown_method(methods):
-        return 2
-    budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
-    cache, sink = _engine_setup(args)
-    try:
-        outcome = run_race(
-            net,
-            methods=methods,
-            budget=budget,
-            jobs=args.jobs,
-            cache=cache,
-            events=sink,
-            query=args.property or "deadlock",
-            reduce=args.reduce,
-            shards=args.shards,
-        )
-    except PropertyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    finally:
-        if sink is not None:
-            sink.close()
-    print(outcome.describe())
-    if not outcome.conclusive:
-        return 2
-    return _verdict_exit(outcome.winner.result)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.props.ast import PropertyError
     from repro.props.decide import decide
 
-    net = _load(args.file)
     methods = args.methods.split(",") if args.methods else None
     if _unknown_method(methods or ()):
         return 2
+    timed = methods is not None and "timed" in methods
+    if timed and set(methods or ()) != {"timed"}:
+        print(
+            "timed reads the @ [eft,lft] intervals and races alone; "
+            "run --methods timed without untimed methods",
+            file=sys.stderr,
+        )
+        return 2
+    net = _load(args.file, timed=timed)
     budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
     cache, sink = _engine_setup(args)
     try:
@@ -315,17 +275,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 events=sink,
                 use_static=not args.no_static,
                 reduce=args.reduce,
+                shards=args.shards,
             )
-        except PropertyError as exc:
+        except ValueError as exc:
+            # Property errors, and jobs the engine refuses before any
+            # worker starts (a timed net under --reduce or --shards).
             print(str(exc), file=sys.stderr)
             return 2
     finally:
         if sink is not None:
             sink.close()
     print(decision.describe())
-    # query speaks the property convention even for 'deadlock': 0 means
-    # the property holds (a deadlock exists), unlike verify's legacy
-    # 0-means-deadlock-free exit.
+    # The property convention, also for 'deadlock': 0 means the property
+    # holds (a deadlock exists).
     if decision.holds is None:
         return 2
     return 0 if decision.holds else 1
@@ -553,66 +515,6 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_model(args: argparse.Namespace) -> int:
-    if args.name not in PROBLEMS:
-        print(f"unknown model {args.name!r}; choose from {', '.join(PROBLEMS)}",
-              file=sys.stderr)
-        return 2
-    budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
-    if args.lint:
-        refusal = _lint_refusal([PROBLEMS[args.name](args.size)])
-        if refusal is not None:
-            return refusal
-    cache, sink = _engine_setup(args)
-    try:
-        if args.portfolio:
-            outcome = run_race(
-                PROBLEMS[args.name](args.size),
-                budget=budget,
-                jobs=args.jobs,
-                cache=cache,
-                events=sink,
-                reduce=args.reduce,
-                shards=args.shards,
-            )
-            print(outcome.describe())
-            return 0
-        rows = run_table1(
-            problems=[args.name],
-            sizes={args.name: [args.size]},
-            budget=budget,
-            jobs=args.jobs,
-            cache=cache,
-            events=sink,
-            reduce=args.reduce,
-        )
-        print(
-            format_table1(rows, with_paper=True, with_stats=args.stats)
-        )
-        if args.shards > 1:
-            # The sharded explorer is not a Table 1 column (the paper
-            # has none); report its run as a trailer line instead.
-            from repro.search.parallel import analyze_parallel
-
-            result = analyze_parallel(
-                PROBLEMS[args.name](args.size),
-                shards=args.shards,
-                max_states=budget.max_states,
-                max_seconds=budget.max_seconds,
-            )
-            print(
-                f"parallel({args.shards} shards, "
-                f"{result.extras.get('workers', 'inline')}): "
-                f"states={result.states} edges={result.edges} "
-                f"deadlock={'yes' if result.deadlock else 'no'} "
-                f"time={result.time_seconds:.3f}s"
-            )
-        return 0
-    finally:
-        if sink is not None:
-            sink.close()
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -773,27 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="deadlock-check a net file")
-    p_verify.add_argument("file")
-    p_verify.add_argument(
-        "--method",
-        choices=("gpo", "full", "stubborn", "symbolic", "unfolding"),
-        default="gpo",
-    )
-    p_verify.add_argument(
-        "--timed",
-        action="store_true",
-        help="interpret @ [eft,lft] intervals: state-class analysis",
-    )
-    p_verify.add_argument(
-        "--property",
-        default=None,
-        metavar="PROP",
-        help="decide a repro.props property with the chosen analyzer "
-        "instead of the deadlock question, e.g. 'reachable(cs0 & cs1)'",
-    )
-    p_verify.set_defaults(fn=_cmd_verify)
-
     def add_budget_flags(
         p: argparse.ArgumentParser,
         *,
@@ -857,34 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="write Prometheus text-exposition metrics of the run",
         )
 
-    p_race = sub.add_parser(
-        "race", help="race a portfolio of analyzers on one net"
-    )
-    p_race.add_argument("file")
-    p_race.add_argument(
-        "--methods",
-        help=f"comma list (default {','.join(DEFAULT_PORTFOLIO)})",
-    )
-    add_budget_flags(p_race)
-    p_race.add_argument(
-        "--property",
-        default=None,
-        metavar="PROP",
-        help="race on a repro.props property instead of the deadlock "
-        "question; incompatible methods are dropped with their reason",
-    )
-    p_race.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also enter the sharded parallel explorer with N shards "
-        "(deadlock races only; the compat filter drops it otherwise)",
-    )
-    add_engine_flags(p_race, jobs=2)
-    add_reduce_flag(p_race)
-    p_race.set_defaults(fn=_cmd_race)
-
     p_query = sub.add_parser(
         "query",
         help="decide a property: structural layer first, then a "
@@ -907,13 +760,24 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the structural (P-invariant / siphon-trap) fast path",
     )
+    p_query.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="also enter the sharded parallel explorer with N shards "
+        "(deadlock races only; the compat filter drops it otherwise)",
+    )
     add_budget_flags(p_query)
     add_engine_flags(p_query, jobs=1)
     add_reduce_flag(p_query)
     p_query.set_defaults(fn=_cmd_query)
 
     p_table = sub.add_parser("table1", help="regenerate Table 1")
-    p_table.add_argument("--problems", help="comma list, e.g. NSDP,RW")
+    p_table.add_argument(
+        "--problems",
+        help="comma list of NAME or NAME:SIZE, e.g. NSDP,RW:2",
+    )
     add_budget_flags(p_table)
     p_table.add_argument("--no-paper", action="store_true")
     p_table.add_argument(
@@ -946,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(case-insensitive)")
     p_profile.add_argument("size", type=int)
     p_profile.add_argument(
-        "--analyzer", choices=PROFILE_ANALYZERS, default="gpo"
+        "--analyzer", choices=sorted(ANALYZERS), default="gpo"
     )
     add_budget_flags(p_profile)
     p_profile.add_argument(
@@ -1075,39 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--rg", action="store_true")
     add_budget_flags(p_dot, max_states=5_000, max_seconds=None)
     p_dot.set_defaults(fn=_cmd_dot)
-
-    p_bench = sub.add_parser(
-        "bench-model", help="run all analyzers on one benchmark instance"
-    )
-    p_bench.add_argument("name", help="NSDP | ASAT | OVER | RW")
-    p_bench.add_argument("size", type=int)
-    add_budget_flags(p_bench)
-    p_bench.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="race the portfolio instead of running every analyzer",
-    )
-    p_bench.add_argument(
-        "--stats",
-        action="store_true",
-        help="append instrumentation columns to the measured table",
-    )
-    p_bench.add_argument(
-        "--lint",
-        action="store_true",
-        help="structurally lint the instance first; refuse a broken model",
-    )
-    p_bench.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="also run (or, with --portfolio, race) the sharded parallel "
-        "explorer with N shards (N > 1)",
-    )
-    add_engine_flags(p_bench, jobs=1)
-    add_reduce_flag(p_bench)
-    p_bench.set_defaults(fn=_cmd_bench_model)
 
     p_serve = sub.add_parser(
         "serve",

@@ -32,12 +32,7 @@ from repro.obs.context import new_trace_context, use_context
 from repro.obs.summary import format_summary
 from repro.obs.tracer import Tracer, activate
 
-__all__ = ["PROFILE_ANALYZERS", "observed", "run_profile"]
-
-#: Analyzer names ``gpo profile`` accepts: the engine's five plus the
-#: timed analyzer (run on the family's untimed skeleton, every
-#: transition given the unconstrained interval ``[0, inf)``).
-PROFILE_ANALYZERS: tuple[str, ...] = (*sorted(ANALYZERS), "timed")
+__all__ = ["observed", "run_profile"]
 
 
 def _export(
@@ -91,8 +86,11 @@ def observed(
     tracer = Tracer(memory=memory)
     # One observed command is one logical request: its exported trace and
     # JSONL events carry one freshly minted trace_id.
-    with activate(tracer), use_context(new_trace_context()):
-        yield tracer
+    try:
+        with activate(tracer), use_context(new_trace_context()):
+            yield tracer
+    finally:
+        tracer.close()
     if summary:
         print(format_summary(tracer.records(), tracer.metrics), file=out)
     _export(
@@ -120,7 +118,8 @@ def run_profile(
     """Profile one analyzer on one family instance; returns an exit code.
 
     ``family`` is case-insensitive (``nsdp`` / ``NSDP``).  Exit status
-    mirrors ``gpo verify``: 1 when a deadlock was found, else 0.
+    is 1 when a deadlock was found, else 0.  The ``timed`` analyzer runs
+    on the family's untimed skeleton (every interval ``[0, inf)``).
     """
     out = stream if stream is not None else sys.stdout
     key = family.upper()
@@ -131,39 +130,27 @@ def run_profile(
             file=sys.stderr,
         )
         return 2
-    if analyzer not in PROFILE_ANALYZERS:
+    if analyzer not in ANALYZERS:
         print(
             f"unknown analyzer {analyzer!r}; choose from "
-            f"{', '.join(PROFILE_ANALYZERS)}",
+            f"{', '.join(sorted(ANALYZERS))}",
             file=sys.stderr,
         )
         return 2
-    net = PROBLEMS[key](size)
-    tracer = Tracer(memory=memory)
-    with activate(tracer), use_context(new_trace_context()):
-        if analyzer == "timed":
-            from repro.timed import analyze as timed_analyze
-            from repro.timed.tpn import TimedPetriNet
-
-            tpn = TimedPetriNet(net, [(0, None)] * net.num_transitions)
-            result = timed_analyze(
-                tpn, max_classes=max_states, max_seconds=max_seconds
-            )
-        else:
-            job = VerificationJob(
-                net=net,
-                method=analyzer,
-                budget=Budget(max_states=max_states, max_seconds=max_seconds),
-            )
-            result = execute_job(job)
-    print(result.describe(), file=out)
-    print(file=out)
-    print(format_summary(tracer.records(), tracer.metrics), file=out)
-    _export(
-        tracer,
+    job = VerificationJob(
+        net=PROBLEMS[key](size),
+        method=analyzer,
+        budget=Budget(max_states=max_states, max_seconds=max_seconds),
+    )
+    with observed(
         trace_out=trace_out,
         metrics_out=metrics_out,
         jsonl_out=jsonl_out,
+        memory=memory,
+        summary=True,
         stream=out,
-    )
+    ):
+        result = execute_job(job)
+        print(result.describe(), file=out)
+        print(file=out)
     return 1 if result.deadlock else 0

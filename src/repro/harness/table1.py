@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_SIZES",
     "PAPER_TABLE1",
     "Table1Row",
-    "run_instance",
     "run_table1",
     "format_table1",
 ]
@@ -179,25 +178,6 @@ def _assemble_row(
         deadlock=gpo.deadlock if gpo else False,
         stats={k: v for k, v in stats.items() if v is not None},
     )
-
-
-def run_instance(
-    problem: str,
-    size: int,
-    *,
-    budget: Budget | None = None,
-    analyzers: Iterable[str] = _ANALYZER_ORDER,
-    reduce: str = "off",
-) -> Table1Row:
-    """Run the selected analyzers on one instance and collect a row."""
-    (row,) = run_table1(
-        problems=[problem],
-        sizes={problem: [size]},
-        budget=budget,
-        analyzers=analyzers,
-        reduce=reduce,
-    )
-    return row
 
 
 def _instance_specs(

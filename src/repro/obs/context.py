@@ -2,7 +2,7 @@
 
 A :class:`TraceContext` carries the correlation key of one end-to-end
 request — a ``trace_id`` minted at the entry point (``POST /v1/jobs``,
-``gpo race``, ``gpo profile``) plus the span id the *next* process
+``gpo query``, ``gpo profile``) plus the span id the *next* process
 boundary should parent to.  The context is **process-global ambient**
 state, deliberately not thread-local: the serve daemon runs a single
 event loop, the CLI is single-threaded, and ``fork``-based workers (the

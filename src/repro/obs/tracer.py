@@ -197,7 +197,9 @@ class Tracer:
     ``memory=True`` turns on tracemalloc-based profiling: every finished
     span carries ``mem_kb`` / ``mem_peak_kb`` attributes (KiB of traced
     Python allocations at span end and the process-wide traced peak),
-    and root spans additionally record ``rss_kb``.  ``max_spans`` bounds
+    and root spans additionally record ``rss_kb``.  A tracemalloc
+    session the tracer starts is its own: :meth:`close` stops it, and a
+    session already running is left alone.  ``max_spans`` bounds
     retained spans; overflow is counted in :attr:`dropped`, never
     raised.
     """
@@ -220,11 +222,21 @@ class Tracer:
         self._records: list[dict[str, Any]] = []
         self._lock = threading.Lock()
         self._local = threading.local()
+        self._started_tracemalloc = False
         if memory:
             import tracemalloc
 
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
+                self._started_tracemalloc = True
+
+    def close(self) -> None:
+        """Stop the tracemalloc session this tracer started, if any."""
+        if self._started_tracemalloc:
+            import tracemalloc
+
+            tracemalloc.stop()
+            self._started_tracemalloc = False
 
     # ------------------------------------------------------------------
     # Span lifecycle

@@ -47,6 +47,7 @@ from repro.props.eval import (
 )
 from repro.props.static import structural_verdict
 from repro.search.core import abort_note
+from repro.timed.tpn import TimedPetriNet
 
 __all__ = ["Decision", "decide"]
 
@@ -120,7 +121,7 @@ def _safety_walk(net: PetriNet, *, budget: Budget, prop: Property) -> AnalysisRe
     )
 
 
-def _inconclusive(net: PetriNet, prop: Property) -> AnalysisResult:
+def _inconclusive(net: PetriNet | TimedPetriNet, prop: Property) -> AnalysisResult:
     return AnalysisResult(
         analyzer="planner",
         net_name=net.name,
@@ -134,7 +135,7 @@ def _inconclusive(net: PetriNet, prop: Property) -> AnalysisResult:
 
 
 def decide(
-    net: PetriNet,
+    net: PetriNet | TimedPetriNet,
     prop: "Property | str",
     *,
     methods: "tuple[str, ...] | list[str] | None" = None,
@@ -144,6 +145,7 @@ def decide(
     events: EventSink | None = None,
     use_static: bool = True,
     reduce: str = "off",
+    shards: int | None = None,
 ) -> Decision:
     """Decide ``prop`` on ``net`` as cheaply as possible.
 
@@ -156,26 +158,43 @@ def decide(
     property's preservation needs, and places the property observes are
     never removed.  The structural layer and the safety walk always see
     the original net — their exact arithmetic is already cheap.
+    ``shards`` enters the sharded parallel explorer in every race (see
+    :func:`~repro.engine.portfolio.run_race`).
+
+    A :class:`~repro.timed.tpn.TimedPetriNet` races only ``timed``.  It
+    skips the structural layer and the safety walk: both reason about
+    the untimed skeleton, and a skeleton witness need not be
+    timed-feasible, so ``safe`` is refused with the compat reason.
     """
     normalized = as_property(prop)
-    check_places(net, normalized)
+    skeleton = net.net if isinstance(net, TimedPetriNet) else net
+    timed = skeleton is not net
+    check_places(skeleton, normalized)
     if budget is None:
         budget = Budget()
+    use_static = use_static and not timed
     if use_static:
-        static = structural_verdict(net, normalized)
+        static = structural_verdict(skeleton, normalized)
         if static is not None:
             return Decision(prop=normalized, result=static)
 
-    portfolio = tuple(methods) if methods else DEFAULT_PORTFOLIO
+    if methods:
+        portfolio = tuple(methods)
+    else:
+        portfolio = ("timed",) if timed else DEFAULT_PORTFOLIO
     dropped: dict[str, str] = {}
 
     def leaf_runner(leaf: Property) -> AnalysisResult:
         if use_static and needs_decomposition(normalized):
-            static = structural_verdict(net, leaf)
+            static = structural_verdict(skeleton, leaf)
             if static is not None:
                 return static
-        if isinstance(leaf, Invariant) and isinstance(leaf.pred, Safe):
-            return _safety_walk(net, budget=budget, prop=leaf)
+        if (
+            not timed
+            and isinstance(leaf, Invariant)
+            and isinstance(leaf.pred, Safe)
+        ):
+            return _safety_walk(skeleton, budget=budget, prop=leaf)
         outcome = run_race(
             net,
             methods=portfolio,
@@ -185,6 +204,7 @@ def decide(
             events=events,
             query=leaf.text(),
             reduce=reduce,
+            shards=shards,
         )
         dropped.update(dict(outcome.dropped))
         if outcome.winner is not None:

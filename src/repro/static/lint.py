@@ -8,10 +8,10 @@ the siphon–trap deadlock-freedom pre-check.  With ``reduce=True`` the
 report also folds in the :mod:`repro.reduce` opportunity findings — one
 per structural-reduction rule application the deadlock-preserving preset
 would perform.  The CLI's ``gpo lint`` renders it (human-readable,
-``--format json`` or ``--format sarif``); ``table1 --lint`` and
-``bench-model --lint`` use :attr:`LintReport.broken` as a refusal gate
-before spending any exploration budget (reduction findings are advisory
-and never mark a model broken).
+``--format json`` or ``--format sarif``); ``table1 --lint`` uses
+:attr:`LintReport.broken` as a refusal gate before spending any
+exploration budget (reduction findings are advisory and never mark a
+model broken).
 """
 
 from __future__ import annotations

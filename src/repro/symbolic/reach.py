@@ -13,11 +13,10 @@ BDD.
 
 from __future__ import annotations
 
-import time
-
 from repro.analysis.frame import analyzer_frame
 from repro.analysis.stats import (
     AnalysisResult,
+    Deadline,
     DeadlockWitness,
     TimeLimitReached,
 )
@@ -143,12 +142,14 @@ def reach(
     default) versus one relational product with the monolithic relation
     (the regime 1998-era SMV operated in for asynchronous models; see the
     ablation benchmarks).  ``max_seconds`` bounds wall time from the call,
-    checked before every per-transition image; exceeding it raises
-    :class:`TimeLimitReached` carrying the number of markings within the
-    completed iterations' distance of the initial marking (and that
-    iteration count in its ``extras``).
+    checked before every per-transition image and, inside a partitioned
+    image, every :data:`~repro.bdd.ops.CHECK_STRIDE` nodes it builds;
+    exceeding it raises :class:`TimeLimitReached` carrying the number of
+    markings within the completed iterations' distance of the initial
+    marking (and that iteration count in its ``extras``).
     """
-    deadline = None if max_seconds is None else time.perf_counter() + max_seconds
+    deadline = Deadline.of(max_seconds)
+    check = None if deadline is None else deadline.check
     tracer = current_tracer()
     with tracer.span(names.SPAN_SYMBOLIC_REACH) as span:
         with tracer.span(names.SPAN_SYMBOLIC_ENCODE):
@@ -157,7 +158,7 @@ def reach(
             if partitioned:
                 relations = symnet.relations
                 steps = [
-                    lambda s, lits=lits: substitute(mgr, s, lits)
+                    lambda s, lits=lits: substitute(mgr, s, lits, check=check)
                     for lits in symnet.image_literals
                 ]
             else:
@@ -184,18 +185,20 @@ def reach(
                 names.SPAN_SYMBOLIC_ITERATION, iteration=iterations
             ):
                 image = ZERO
-                for step in steps:
-                    if deadline is not None and time.perf_counter() > deadline:
-                        # ``reached`` holds the markings within the
-                        # completed iterations' distance of m0.
-                        assert max_seconds is not None
-                        done = SymbolicResult(symnet, reached, iterations - 1, peak)
-                        raise TimeLimitReached(
-                            max_seconds,
-                            done.num_states,
-                            {"iterations": done.iterations},
-                        )
-                    image = mgr.or_(image, step(frontier))
+                try:
+                    for step in steps:
+                        if check is not None:
+                            check()
+                        image = mgr.or_(image, step(frontier))
+                except TimeLimitReached as overrun:
+                    # ``reached`` holds the markings within the
+                    # completed iterations' distance of m0.
+                    done = SymbolicResult(symnet, reached, iterations - 1, peak)
+                    raise TimeLimitReached(
+                        overrun.seconds,
+                        done.num_states,
+                        {"iterations": done.iterations},
+                    ) from None
                 frontier = mgr.diff(image, reached)
                 reached = mgr.or_(reached, frontier)
                 live = relation_nodes + mgr.count_nodes(reached, frontier)

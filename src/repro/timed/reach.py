@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.analysis.frame import analyzer_frame
 from repro.analysis.stats import AnalysisResult, DeadlockWitness
-from repro.net.petrinet import Marking
+from repro.net.petrinet import Marking, PetriNet
 from repro.obs import names
 from repro.obs.tracer import current_tracer
 from repro.props.ast import Property
@@ -123,9 +123,13 @@ def timed_reachable_markings(
     return {cls.marking for cls in graph.states()}
 
 
-@analyzer_frame("timed", net_of=lambda tpn: tpn.net)
+def _skeleton(subject: TimedPetriNet | PetriNet) -> PetriNet:
+    return subject.net if isinstance(subject, TimedPetriNet) else subject
+
+
+@analyzer_frame("timed", net_of=_skeleton)
 def analyze(
-    tpn: TimedPetriNet,
+    subject: TimedPetriNet | PetriNet,
     goal_prop: Property | None,
     *,
     max_classes: int | None = None,
@@ -133,6 +137,9 @@ def analyze(
 ) -> AnalysisResult:
     """Timed deadlock analysis packaged like the untimed analyzers.
 
+    ``subject`` is a :class:`TimedPetriNet`; a plain net is analyzed as
+    its :meth:`~TimedPetriNet.untimed` wrapper, whose state classes are
+    exactly the skeleton's reachable markings.
     ``states`` counts state classes; ``extras["markings"]`` counts the
     distinct markings they cover.  A witness trace is a firing sequence
     of the state-class graph (feasible under some timing of the delays).
@@ -145,6 +152,11 @@ def analyze(
     ``reachable(p)`` means "some class whose marking satisfies ``p`` is
     reachable under the timing constraints".
     """
+    tpn = (
+        subject
+        if isinstance(subject, TimedPetriNet)
+        else TimedPetriNet.untimed(subject)
+    )
     space = StateClassSpace(tpn)
     goal = None
     observers: tuple[object, ...] = ()

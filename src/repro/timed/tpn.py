@@ -19,6 +19,7 @@ like its untimed skeleton, a property the test-suite exploits.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Mapping
 
 from repro.net.exceptions import NetStructureError, UnknownNodeError
@@ -65,6 +66,22 @@ class TimedPetriNet:
                 )
         self.net = net
         self.intervals: tuple[Interval, ...] = tuple(resolved)
+
+    @property
+    def name(self) -> str:
+        """The skeleton's name (jobs, events and results report it)."""
+        return self.net.name
+
+    def canonical_hash(self) -> str:
+        """SHA-256 over the skeleton's canonical hash and every interval.
+
+        Intervals are keyed by transition name, so declaration order does
+        not change the hash, while any changed bound does.
+        """
+        lines = [self.net.canonical_hash()]
+        for name, (eft, lft) in sorted(zip(self.net.transitions, self.intervals)):
+            lines.append(f"{name}@[{eft},{'inf' if lft is None else lft}]")
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def eft(self, t: int) -> int:
         """Earliest firing time of transition index ``t``."""

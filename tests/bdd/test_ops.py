@@ -112,6 +112,34 @@ class TestSubstitute:
         with pytest.raises(ValueError):
             substitute(mgr, ONE, [(1, True, True), (1, False, True)])
 
+    def test_check_runs_every_stride_of_built_nodes(self, mgr, monkeypatch):
+        from repro.bdd import ops
+
+        monkeypatch.setattr(ops, "CHECK_STRIDE", 2)
+        f = mgr.or_all(
+            mgr.and_(mgr.var(k), mgr.nvar(k + 1)) for k in range(0, 12, 2)
+        )
+        calls = []
+        plain = substitute(mgr, f, [(13, False, True)])
+        checked = substitute(
+            mgr, f, [(13, False, True)], check=lambda: calls.append(1)
+        )
+        assert checked == plain
+        assert len(calls) >= 3
+
+    def test_raising_check_stops_the_walk(self, mgr, monkeypatch):
+        from repro.bdd import ops
+
+        class Stop(Exception):
+            pass
+
+        def stop():
+            raise Stop
+
+        monkeypatch.setattr(ops, "CHECK_STRIDE", 1)
+        with pytest.raises(Stop):
+            substitute(mgr, make(mgr), [(3, False, True)], check=stop)
+
 
 class TestMk:
     def test_matches_ite_construction(self, mgr):

@@ -24,30 +24,39 @@ def pnml_file(tmp_path):
     return path
 
 
+def one_method(path, method="gpo", prop="deadlock"):
+    """``gpo query`` deciding ``prop`` with one analyzer and nothing else."""
+    return ["query", path, prop, "--methods", method, "--no-static",
+            "--no-cache"]
+
+
 class TestVerify:
+    """One analyzer on one net: ``query --methods M --no-static``.  The
+    exit code follows the property convention: 0 = a deadlock exists."""
+
     def test_deadlock_exit_code(self, net_file, capsys):
-        assert main(["verify", net_file]) == 1
+        assert main(one_method(net_file)) == 0
         out = capsys.readouterr().out
         assert "DEADLOCK" in out
         assert "deadlock at" in out
 
     @pytest.mark.parametrize("method", ["full", "stubborn", "symbolic", "gpo"])
     def test_all_methods(self, net_file, method, capsys):
-        assert main(["verify", net_file, "--method", method]) == 1
+        assert main(one_method(net_file, method)) == 0
         assert method in capsys.readouterr().out
 
     def test_pnml_autodetected(self, pnml_file, capsys):
-        assert main(["verify", pnml_file]) == 1
+        assert main(one_method(pnml_file)) == 0
 
     def test_explicit_backend(self, net_file, capsys):
         # GPO runs on BDD families only; the --backend flag is gone.
         with pytest.raises(SystemExit) as exc:
-            main(["verify", net_file, "--backend", "explicit"])
+            main(["query", net_file, "deadlock", "--backend", "explicit"])
         assert exc.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
     def test_unfolding_method(self, net_file, capsys):
-        assert main(["verify", net_file, "--method", "unfolding"]) == 1
+        assert main(one_method(net_file, "unfolding")) == 0
         assert "cutoffs" in capsys.readouterr().out
 
     def test_timed_verify(self, tmp_path, capsys):
@@ -59,11 +68,29 @@ class TestVerify:
                 "trans back : q -> p\n"
                 "trans bad : p -> r @ [5,6]\n"
             )
-        code = main(["verify", path, "--timed"])
-        assert code == 0  # 'bad' is preempted; the net cycles forever
+        code = main(["query", path, "deadlock", "--methods", "timed"])
+        assert code == 1  # 'bad' is preempted; the net cycles forever
         assert "timed" in capsys.readouterr().out
         # untimed skeleton reaches the dead place r
-        assert main(["verify", path]) == 1
+        assert main(one_method(path)) == 0
+
+    def test_timed_mixed_with_untimed_methods_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "race.net")
+        with open(path, "w") as handle:
+            handle.write("place p marked\ntrans t : p -> p @ [1,2]\n")
+        code = main(["query", path, "deadlock", "--methods", "timed,gpo"])
+        assert code == 2
+        assert "timed" in capsys.readouterr().err
+
+    def test_timed_with_reduce_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "race.net")
+        with open(path, "w") as handle:
+            handle.write("place p marked\ntrans t : p -> p @ [1,2]\n")
+        code = main(
+            ["query", path, "deadlock", "--methods", "timed", "--reduce"]
+        )
+        assert code == 2
+        assert "without reduction" in capsys.readouterr().err
 
 
 class TestSafety:
@@ -193,25 +220,51 @@ class TestLint:
         assert report["net_class"] == "state-machine"
 
     def test_bench_model_lint_prepass(self, capsys):
-        assert main(["bench-model", "RW", "2", "--lint", "--no-cache"]) == 0
+        assert main(
+            ["table1", "--problems", "RW:2", "--lint", "--no-cache"]
+        ) == 0
         captured = capsys.readouterr()
         assert "[lint] rw_2: ok" in captured.err
         assert "RW(2)" in captured.out
 
 
 class TestBenchModel:
+    """One Table 1 instance: ``table1 --problems NAME:SIZE``."""
+
     def test_runs(self, capsys):
-        assert main(["bench-model", "RW", "2"]) == 0
-        assert "RW(2)" in capsys.readouterr().out
+        assert main(["table1", "--problems", "RW:2"]) == 0
+        out = capsys.readouterr().out
+        assert "RW(2)" in out
+        assert "RW(3)" not in out
 
     def test_unknown_model(self, capsys):
-        assert main(["bench-model", "XX", "2"]) == 2
+        assert main(["table1", "--problems", "XX:2"]) == 2
+
+    def test_bad_size_exits_two(self, capsys):
+        assert main(["table1", "--problems", "RW:two"]) == 2
+        assert "NAME:SIZE" in capsys.readouterr().err
+
+    def test_mixed_selection(self, capsys):
+        code = main(
+            ["table1", "--problems", "OVER,RW:2", "--max-states", "2000",
+             "--no-cache"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "OVER(2)" in out and "OVER(5)" in out
+        assert "RW(2)" in out and "RW(3)" not in out
 
 
 class TestRace:
+    """The portfolio race: ``query F P --no-static``.  The exit code
+    follows the property convention: 0 = a deadlock exists."""
+
     def test_deadlock_net_exits_one(self, net_file, capsys):
-        code = main(["race", net_file, "--jobs", "1", "--no-cache"])
-        assert code == 1
+        code = main(
+            ["query", net_file, "deadlock", "--no-static", "--jobs", "1",
+             "--no-cache"]
+        )
+        assert code == 0
         out = capsys.readouterr().out
         assert "DEADLOCK" in out
 
@@ -220,8 +273,11 @@ class TestRace:
 
         path = str(tmp_path / "rw.net")
         save_net(rw(2), path)
-        code = main(["race", path, "--jobs", "1", "--no-cache"])
-        assert code == 0
+        code = main(
+            ["query", path, "deadlock", "--no-static", "--jobs", "1",
+             "--no-cache"]
+        )
+        assert code == 1
         assert "deadlock-free" in capsys.readouterr().out
 
     def test_inconclusive_exits_two(self, tmp_path, capsys):
@@ -231,8 +287,10 @@ class TestRace:
         save_net(nsdp(6), path)
         code = main(
             [
-                "race",
+                "query",
                 path,
+                "deadlock",
+                "--no-static",
                 "--jobs",
                 "1",
                 "--no-cache",
@@ -243,17 +301,20 @@ class TestRace:
             ]
         )
         assert code == 2
-        assert "INCONCLUSIVE" in capsys.readouterr().out
+        assert "no deadlock found (bounded)" in capsys.readouterr().out
 
     def test_unknown_method_rejected(self, net_file, capsys):
-        assert main(["race", net_file, "--methods", "quantum"]) == 2
+        assert main(
+            ["query", net_file, "deadlock", "--methods", "quantum"]
+        ) == 2
 
     def test_cache_warm_rerun(self, net_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
-        args = ["race", net_file, "--jobs", "1", "--cache-dir", cache_dir]
-        assert main(args) == 1
-        assert main(args) == 1
-        assert "cache" in capsys.readouterr().out
+        args = ["query", net_file, "deadlock", "--no-static", "--jobs", "1",
+                "--cache-dir", cache_dir]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert "cache=hit" in capsys.readouterr().out
 
 
 class TestTable1Engine:
@@ -343,6 +404,30 @@ class TestProfile:
         code = main(["profile", "nsdp", "2", "--memory"])
         assert code in (0, 1)
 
+    def test_memory_flag_stops_the_tracing_it_started(self, capsys):
+        import tracemalloc
+
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.stop()
+        try:
+            assert main(["profile", "rw", "2", "--memory"]) == 0
+            assert not tracemalloc.is_tracing()
+        finally:
+            if was_tracing:
+                tracemalloc.start()
+
+    def test_memory_flag_leaves_the_callers_tracing_on(self, capsys):
+        import tracemalloc
+
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            assert main(["profile", "rw", "2", "--memory"]) == 0
+            assert tracemalloc.is_tracing()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
 
 class TestObsFlags:
     def test_check_trace_and_metrics(self, net_file, tmp_path, capsys):
@@ -431,47 +516,28 @@ class TestQuery:
 
     def test_verify_property_flag(self, nsdp_file, capsys):
         # gpo (the default) only screens reachability; full decides it.
-        code = main(
-            [
-                "verify",
-                nsdp_file,
-                "--method",
-                "full",
-                "--property",
-                "reachable(eat0)",
-            ]
-        )
+        code = main(one_method(nsdp_file, "full", "reachable(eat0)"))
         assert code == 0  # reachable(eat0) holds -> exit 0
         assert "property" in capsys.readouterr().out
 
     def test_verify_property_gpo_screen_is_undecided(self, nsdp_file):
         # A clean GPO screen is inconclusive, not a verdict.
-        code = main(
-            ["verify", nsdp_file, "--property", "reachable(eat0)"]
-        )
+        code = main(one_method(nsdp_file, "gpo", "reachable(eat0)"))
         assert code == 2
 
     def test_verify_property_incompatible_method(self, nsdp_file, capsys):
-        code = main(
-            [
-                "verify",
-                nsdp_file,
-                "--method",
-                "stubborn",
-                "--property",
-                "reachable(eat0)",
-            ]
-        )
+        code = main(one_method(nsdp_file, "stubborn", "reachable(eat0)"))
         assert code == 2
-        assert "deadlock" in capsys.readouterr().err
+        # The compat filter reports the refusal with the verdict.
+        assert "deadlock" in capsys.readouterr().out
 
     def test_race_property_flag(self, nsdp_file, capsys):
         code = main(
             [
-                "race",
+                "query",
                 nsdp_file,
-                "--property",
                 "reachable(eat0)",
+                "--no-static",
                 "--methods",
                 "full,symbolic",
             ]

@@ -7,9 +7,14 @@ from repro.harness import (
     PAPER_TABLE1,
     PROBLEMS,
     format_table1,
-    run_instance,
     run_table1,
 )
+
+
+def run_instance(problem, size, **kwargs):
+    """The one Table 1 row of ``problem(size)`` (``--problems NAME:SIZE``)."""
+    (row,) = run_table1(problems=[problem], sizes={problem: [size]}, **kwargs)
+    return row
 
 
 class TestStaticData:

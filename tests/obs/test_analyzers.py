@@ -22,15 +22,8 @@ from repro.obs.tracer import Tracer, activate
 from repro.search.parallel import analyze_parallel
 from repro.stubborn import analyze as stubborn_analyze
 from repro.symbolic import analyze as symbolic_analyze
-from repro.timed.tpn import TimedPetriNet
+from repro.timed import analyze as timed_analyze
 from repro.unfolding import analyze as unfolding_analyze
-
-
-def timed_analyze_skeleton(net, **kwargs):
-    from repro.timed import analyze as timed_analyze
-
-    tpn = TimedPetriNet(net, [(0, None)] * net.num_transitions)
-    return timed_analyze(tpn)
 
 
 ANALYZE_FNS = {
@@ -38,7 +31,8 @@ ANALYZE_FNS = {
     "stubborn": stubborn_analyze,
     "gpo": gpo_analyze,
     "symbolic": symbolic_analyze,
-    "timed": timed_analyze_skeleton,
+    # A plain net runs as its [0, inf) timed wrapper.
+    "timed": timed_analyze,
     "unfolding": unfolding_analyze,
     "parallel": lambda net: analyze_parallel(net, workers="inline"),
 }

@@ -189,9 +189,10 @@ class TestCli:
 
     def test_verify_like_race_with_reduce_flag(self, nsdp_file, capsys):
         code = main(
-            ["race", nsdp_file, "--jobs", "1", "--no-cache", "--reduce"]
+            ["query", nsdp_file, "deadlock", "--no-static", "--jobs", "1",
+             "--no-cache", "--reduce"]
         )
-        assert code == 1  # deadlock found
+        assert code == 0  # deadlock found (the property holds)
         assert "DEADLOCK" in capsys.readouterr().out
 
     def test_reach_maps_trace_back(self, tmp_path, capsys):

@@ -438,6 +438,31 @@ class TestPropertySubmissions:
         run(main())
 
 
+class TestTimedSubmission:
+    def test_timed_method_returns_full_counts(self, tmp_path):
+        # A plain net runs as its [0, inf) timed wrapper, whose state
+        # classes are exactly the markings full search stores.
+        async def main():
+            async with serve_app(tmp_path) as (_, client):
+                records = {}
+                for method in ("timed", "full"):
+                    response = await client.request(
+                        "POST", "/v1/jobs", submit_body(method=method)
+                    )
+                    assert response.status == 202
+                    records[method] = await wait_done(
+                        client, response.json()["id"]
+                    )
+                timed, full = records["timed"], records["full"]
+                assert timed["engine_status"] == "ok"
+                assert timed["result"]["analyzer"] == "timed"
+                assert timed["verdict"] == full["verdict"] == "DEADLOCK"
+                for key in ("states", "edges", "deadlock", "exhaustive"):
+                    assert timed["result"][key] == full["result"][key]
+
+        run(main())
+
+
 async def wait_done(client: ServeClient, job_id: str) -> dict[str, Any]:
     while True:
         response = await client.request("GET", f"/v1/jobs/{job_id}")

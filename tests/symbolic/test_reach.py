@@ -115,6 +115,28 @@ class TestAnalyze:
             ball = ball | ring
         assert result.states == len(ball)
 
+    def test_deadline_inside_one_image(self, monkeypatch):
+        # The budget runs out while one image is being built: the walk
+        # checks it every CHECK_STRIDE nodes and the overrun still
+        # reports the completed iterations.
+        from repro.bdd import ops
+        from repro.search import limits
+
+        checks = iter(range(1_000_000))
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                # Expires at the 200th clock read, mid-fixpoint.
+                return 0.0 if next(checks) < 200 else 1e9
+
+        monkeypatch.setattr(ops, "CHECK_STRIDE", 1)
+        monkeypatch.setattr(limits, "time", Clock)
+        with pytest.raises(TimeLimitReached) as exc:
+            reach(nsdp(4), max_seconds=1.0)
+        assert exc.value.states_explored >= 1
+        assert "iterations" in exc.value.extras
+
     def test_time_limit_inside_an_iteration(self):
         # Symbolic NSDP(10) runs for seconds; the deadline is checked
         # before every per-transition image, so the overrun is one image.
