@@ -41,9 +41,12 @@ ANALYZE_FNS = {
 
 NETS = {"NSDP(6)": (nsdp, 6), "ASAT(4)": (asat, 4), "OVER(4)": (over, 4), "RW(9)": (rw, 9)}
 
-#: Below this root-span duration a few hundred microseconds of result
-#: packaging outside the stopwatch could break the ratio by noise alone.
-MIN_ROOT_NS = 5_000_000
+#: The reported time may fall short of the root span by 5 %, but never
+#: by less than this: on a span of a few milliseconds, result packaging
+#: outside the stopwatch and timer noise would otherwise break the ratio.
+#: It is the 5 % allowance of a 5 ms span, so longer spans are held to
+#: the ratio alone and shorter ones are still checked, not skipped.
+MIN_SLACK_NS = 250_000
 
 
 @pytest.mark.parametrize("net_id", sorted(NETS))
@@ -63,8 +66,7 @@ def test_time_seconds_covers_certificate_and_root_span(analyzer, net_id):
     (certificate,) = [
         r for r in records if r["name"] == names.SPAN_CERTIFICATE
     ]
-    if root["dur_ns"] < MIN_ROOT_NS:
-        pytest.skip(f"analyze span {root['dur_ns'] / 1e6:.2f} ms is too short")
     reported_ns = result.time_seconds * 1e9
     assert reported_ns >= certificate["dur_ns"]
-    assert reported_ns >= 0.95 * root["dur_ns"]
+    slack_ns = max(0.05 * root["dur_ns"], MIN_SLACK_NS)
+    assert reported_ns >= root["dur_ns"] - slack_ns
