@@ -26,8 +26,6 @@ Subcommands::
     gpo dot FILE [--rg]       # DOT export of the net (or its full RG)
     gpo serve [--port 8080] [--jobs N] [--queue-capacity N]
                               # verification-as-a-service HTTP daemon
-    gpo loadtest [--quick] [--requests N] [--out BENCH_serve.json]
-                              # replay a mixed workload against gpo serve
     gpo slo [--url URL | --file metrics.prom]
                               # per-phase serve SLO report (queue wait,
                               # reduce, search, serialize) from /metrics
@@ -76,10 +74,8 @@ shows what the pre-pass would do).
 nets are submitted over HTTP (native format or PNML), queued with
 priorities and per-tenant quotas, dispatched onto one warm worker pool
 sharing one result cache, with per-job NDJSON event streams, live
-``/metrics`` and ``/healthz``.  ``loadtest`` replays a deterministic
-mixed workload against a running daemon and writes ``BENCH_serve.json``
-(p50/p99 latency, throughput, cache-hit rate, differential verdict
-checks); it exits 1 on any conclusive verdict mismatch.
+``/metrics`` and ``/healthz``.  Load on a live daemon is driven by the
+``served-mix`` workload of ``perfbench/``, not by a ``gpo`` command.
 """
 
 from __future__ import annotations
@@ -109,6 +105,7 @@ from repro.harness.table1 import (
     run_table1,
 )
 from repro.net import (
+    PetriNet,
     diagnose,
     check_safe,
     net_to_dot,
@@ -147,16 +144,19 @@ def _engine_setup(
     return cache, sink
 
 
-def _table1_selection(text: str | None) -> dict[str, list[int]] | None:
-    """``--problems`` as problem -> sizes; ``None`` after a usage error.
+def _table1_instances(
+    text: str | None,
+) -> dict[tuple[str, int], PetriNet] | None:
+    """``--problems`` as (problem, size) -> built net; ``None`` after a
+    usage error.
 
     Items are ``NAME`` (its Table 1 sizes) or ``NAME:SIZE`` (one
     instance); no selection means every problem at its Table 1 sizes.
+    Each instance is built once, here, before any worker forks, so a
+    size its model constructor refuses (``RW:0``) is a usage error.
     """
-    if not text:
-        return {problem: list(DEFAULT_SIZES[problem]) for problem in PROBLEMS}
     selection: dict[str, list[int]] = {}
-    for item in text.split(","):
+    for item in text.split(",") if text else PROBLEMS:
         problem, colon, size = item.partition(":")
         if problem not in PROBLEMS:
             print(f"unknown problem {problem!r}; choose from "
@@ -170,47 +170,51 @@ def _table1_selection(text: str | None) -> dict[str, list[int]] | None:
         for wanted in [int(size)] if colon else DEFAULT_SIZES[problem]:
             if wanted not in sizes:
                 sizes.append(wanted)
-    return selection
+    instances: dict[tuple[str, int], PetriNet] = {}
+    for problem, sizes in selection.items():
+        for size in sizes:
+            try:
+                instances[problem, size] = PROBLEMS[problem](size)
+            except ValueError as exc:
+                print(f"bad instance {problem}:{size}: {exc}", file=sys.stderr)
+                return None
+    return instances
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    selection = _table1_selection(args.problems)
-    if selection is None:
+    instances = _table1_instances(args.problems)
+    if instances is None:
         return 2
     budget = Budget(max_states=args.max_states, max_seconds=args.max_seconds)
     if args.lint:
-        refusal = _lint_refusal(
-            PROBLEMS[problem](size)
-            for problem, sizes in selection.items()
-            for size in sizes
-        )
+        refusal = _lint_refusal(instances.values())
         if refusal is not None:
             return refusal
     with observed(trace_out=args.trace, metrics_out=args.metrics):
-        return _run_table1(args, selection, budget)
+        return _run_table1(args, instances, budget)
 
 
 def _run_table1(
-    args: argparse.Namespace, selection: dict[str, list[int]], budget: Budget
+    args: argparse.Namespace,
+    instances: dict[tuple[str, int], PetriNet],
+    budget: Budget,
 ) -> int:
     cache, sink = _engine_setup(args)
     try:
         if args.portfolio:
-            for problem, sizes in selection.items():
-                for size in sizes:
-                    outcome = run_race(
-                        PROBLEMS[problem](size),
-                        budget=budget,
-                        jobs=args.jobs,
-                        cache=cache,
-                        events=sink,
-                        reduce=args.reduce,
-                    )
-                    print(outcome.describe())
+            for net in instances.values():
+                outcome = run_race(
+                    net,
+                    budget=budget,
+                    jobs=args.jobs,
+                    cache=cache,
+                    events=sink,
+                    reduce=args.reduce,
+                )
+                print(outcome.describe())
             return 0
         rows = run_table1(
-            problems=list(selection),
-            sizes=selection,
+            instances=instances,
             budget=budget,
             jobs=args.jobs,
             cache=cache,
@@ -548,58 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("[serve] interrupted; shutting down")
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import asyncio
-    from urllib.parse import urlsplit
-
-    from repro.serve import (
-        LoadtestConfig,
-        format_report,
-        mismatch_count,
-        quick_config,
-        run_loadtest,
-        write_report,
-    )
-
-    split = urlsplit(args.url if "//" in args.url else f"http://{args.url}")
-    host = split.hostname or "127.0.0.1"
-    port = split.port or 8080
-    overrides = dict(
-        seed=args.seed,
-        verify=not args.no_verify,
-        repeat=args.repeat,
-    )
-    for key in ("requests", "concurrency", "tenants", "skew", "property_mix"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.families:
-        overrides["families"] = tuple(args.families.split(","))
-    if args.methods:
-        overrides["methods"] = tuple(args.methods.split(","))
-    if args.quick:
-        config = quick_config(host, port, **overrides)
-    else:
-        config = LoadtestConfig(host=host, port=port, **overrides)
-    try:
-        report = asyncio.run(run_loadtest(config))
-    except (OSError, ConnectionError) as exc:
-        print(f"loadtest: cannot reach {host}:{port} — {exc}", file=sys.stderr)
-        return 2
-    print(format_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"[loadtest] wrote {args.out}")
-    if mismatch_count(report):
-        print(
-            f"[loadtest] {mismatch_count(report)} verdict mismatch(es) "
-            "against local runs",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -993,62 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-job wall-clock budget (default 30)",
     )
     p_serve.set_defaults(fn=_cmd_serve)
-
-    p_load = sub.add_parser(
-        "loadtest",
-        help="replay a mixed workload against a running gpo serve daemon",
-    )
-    p_load.add_argument(
-        "--url",
-        default="http://127.0.0.1:8080",
-        help="daemon base URL (default http://127.0.0.1:8080)",
-    )
-    p_load.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke preset: 24 requests over NSDP/RW at tiny sizes",
-    )
-    # Workload-shape flags default to None so --quick's preset is only
-    # overridden when a flag is given explicitly.
-    p_load.add_argument("--requests", type=int, default=None)
-    p_load.add_argument("--concurrency", type=int, default=None)
-    p_load.add_argument("--tenants", type=int, default=None)
-    p_load.add_argument(
-        "--skew",
-        type=float,
-        default=None,
-        help="fraction of requests pinned to tenant-0 (noisy neighbour)",
-    )
-    p_load.add_argument("--families", help="comma list, e.g. NSDP,RW")
-    p_load.add_argument(
-        "--methods", help="comma list, e.g. gpo,stubborn,symbolic,full"
-    )
-    p_load.add_argument(
-        "--property-mix",
-        type=float,
-        default=None,
-        help="fraction of requests submitting a property query via the "
-        "v2 'property' field (default 0; --quick preset 0.25)",
-    )
-    p_load.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="replay the identical workload N times (2 = cold then warm)",
-    )
-    p_load.add_argument("--seed", type=int, default=1998)
-    p_load.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the differential check against local in-process runs",
-    )
-    p_load.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON report (e.g. BENCH_serve.json)",
-    )
-    p_load.set_defaults(fn=_cmd_loadtest)
 
     p_slo = sub.add_parser(
         "slo",

@@ -137,8 +137,13 @@ def run_profile(
             file=sys.stderr,
         )
         return 2
+    try:
+        net = PROBLEMS[key](size)
+    except ValueError as exc:
+        print(f"bad instance {key}:{size}: {exc}", file=sys.stderr)
+        return 2
     job = VerificationJob(
-        net=PROBLEMS[key](size),
+        net=net,
         method=analyzer,
         budget=Budget(max_states=max_states, max_seconds=max_seconds),
     )

@@ -180,25 +180,9 @@ def _assemble_row(
     )
 
 
-def _instance_specs(
-    problems: Iterable[str] | None,
-    sizes: Mapping[str, Iterable[int]] | None,
-) -> list[tuple[str, int]]:
-    specs: list[tuple[str, int]] = []
-    for problem in problems or PROBLEMS:
-        wanted_sizes = (
-            sizes.get(problem, DEFAULT_SIZES[problem])
-            if sizes
-            else DEFAULT_SIZES[problem]
-        )
-        specs.extend((problem, size) for size in wanted_sizes)
-    return specs
-
-
 def run_table1(
     *,
-    problems: Iterable[str] | None = None,
-    sizes: Mapping[str, Iterable[int]] | None = None,
+    instances: Mapping[tuple[str, int], PetriNet] | None = None,
     budget: Budget | None = None,
     analyzers: Iterable[str] = _ANALYZER_ORDER,
     jobs: int = 1,
@@ -208,7 +192,9 @@ def run_table1(
 ) -> list[Table1Row]:
     """Run the whole table (or a selection) and return measured rows.
 
-    Every (instance, analyzer) cell becomes a :class:`VerificationJob`.
+    ``instances`` maps ``(problem, size)`` to its built net, in row
+    order; ``None`` means every problem at its Table 1 sizes.  Every
+    (instance, analyzer) cell becomes a :class:`VerificationJob`.
     With ``jobs <= 1`` and no ``cache`` / ``events`` sink the jobs run
     in-process through :func:`execute_job`; otherwise they run through
     the :class:`~repro.engine.pool.WorkerPool` — analyzer runs are
@@ -216,13 +202,17 @@ def run_table1(
     canonical structural hash, and logged as JSONL lifecycle events.  Row
     assembly is deterministic regardless of completion order.
     """
-    specs = _instance_specs(problems, sizes)
+    if instances is None:
+        instances = {
+            (problem, size): PROBLEMS[problem](size)
+            for problem in PROBLEMS
+            for size in DEFAULT_SIZES[problem]
+        }
     wanted = [name for name in _ANALYZER_ORDER if name in set(analyzers)]
     job_budget = budget if budget is not None else Budget()
     job_list: list[VerificationJob] = []
     keys: list[tuple[str, int, str]] = []
-    for problem, size in specs:
-        net = PROBLEMS[problem](size)
+    for (problem, size), net in instances.items():
         for name in wanted:
             job_list.append(
                 VerificationJob(
@@ -240,7 +230,7 @@ def run_table1(
         per_instance.setdefault((problem, size), {})[name] = result
     return [
         _assemble_row(problem, size, per_instance.get((problem, size), {}))
-        for problem, size in specs
+        for problem, size in instances
     ]
 
 

@@ -17,8 +17,8 @@ Zero third-party dependencies.  The moving parts:
   (trace_id + cross-process parent span) propagation.
 - :mod:`repro.obs.flight` — always-on bounded ring of recent
   diagnostics, dumped on crash/timeout/cancel.
-- :mod:`repro.obs.benchmeta` — shared provenance stamp for every
-  ``BENCH_*.json`` writer.
+- :mod:`repro.obs.benchmeta` — the host/commit provenance mapping
+  ``perfbench/run.py`` records with every result.
 - :mod:`repro.obs.slo` — Prometheus exposition parser + the
   ``gpo slo`` per-phase latency report.
 
@@ -33,7 +33,7 @@ Typical use (this is what ``gpo profile`` does)::
 """
 
 from repro.obs import names
-from repro.obs.benchmeta import bench_metadata, stamp_bench
+from repro.obs.benchmeta import bench_metadata
 from repro.obs.context import (
     TraceContext,
     current_context,
@@ -119,7 +119,6 @@ __all__ = [
     "set_context",
     "set_tracer",
     "span",
-    "stamp_bench",
     "traced_memory_kb",
     "use_context",
     "write_chrome_trace",

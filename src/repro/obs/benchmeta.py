@@ -6,9 +6,7 @@ and a regression is only a regression against the same commit lineage.
 
 :func:`bench_metadata` builds the ``"meta"`` mapping (host, platform,
 cpu_count, git commit, timestamp); ``perfbench/run.py`` records it with
-every result.  :func:`stamp_bench` adds it to an existing payload while
-leaving the writer's own top-level keys untouched — ``gpo loadtest``
-stamps ``BENCH_serve.json`` this way.
+every result.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import subprocess
 import time
 from typing import Any
 
-__all__ = ["BENCH_META_SCHEMA_VERSION", "bench_metadata", "stamp_bench"]
+__all__ = ["BENCH_META_SCHEMA_VERSION", "bench_metadata"]
 
 #: Version of the ``meta`` mapping layout stamped into BENCH files.
 BENCH_META_SCHEMA_VERSION = 1
@@ -54,13 +52,3 @@ def bench_metadata() -> dict[str, Any]:
         "generated_at": round(time.time(), 3),
     }
 
-
-def stamp_bench(payload: dict[str, Any]) -> dict[str, Any]:
-    """Return ``payload`` with the shared ``meta`` mapping added.
-
-    The input is not mutated; legacy top-level keys (``python``,
-    ``machine``, ...) are preserved for existing consumers.
-    """
-    stamped = dict(payload)
-    stamped["meta"] = bench_metadata()
-    return stamped

@@ -8,9 +8,12 @@ behind an HTTP API —
 * :class:`~repro.serve.app.ServeApp` — the daemon (``gpo serve``);
 * :class:`~repro.serve.queue.TenantQueue` — priority admission with
   per-tenant quotas and 429 backpressure;
-* :class:`~repro.serve.client.ServeClient` — stdlib asyncio client;
-* :mod:`repro.serve.loadtest` — the ``gpo loadtest`` workload replayer
-  producing ``BENCH_serve.json``.
+* :class:`~repro.serve.client.ServeClient` — stdlib asyncio client.
+
+Serving cost is measured by the ``served-mix`` workload of
+``perfbench/``; that every served answer equals a local
+:func:`~repro.engine.jobs.execute_job` run is checked by
+``tests/serve/test_served_differential.py``.
 
 API surface (v1)::
 
@@ -27,14 +30,6 @@ from repro.serve.app import ServeApp
 from repro.serve.client import HttpResponse, ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import JobRecord, JobStore
-from repro.serve.loadtest import (
-    LoadtestConfig,
-    format_report,
-    mismatch_count,
-    quick_config,
-    run_loadtest,
-    write_report,
-)
 from repro.serve.protocol import ApiError, parse_submit, parse_wire_net
 from repro.serve.queue import QueueFull, TenantQueue
 
@@ -43,17 +38,11 @@ __all__ = [
     "HttpResponse",
     "JobRecord",
     "JobStore",
-    "LoadtestConfig",
     "QueueFull",
     "ServeApp",
     "ServeClient",
     "ServeConfig",
     "TenantQueue",
-    "format_report",
-    "mismatch_count",
     "parse_submit",
     "parse_wire_net",
-    "quick_config",
-    "run_loadtest",
-    "write_report",
 ]

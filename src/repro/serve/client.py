@@ -2,8 +2,9 @@
 
 The daemon speaks one-request-per-connection HTTP/1.1, so the client is
 symmetric: open a connection, write one request, read one response
-(Content-Length or chunked), close.  Used by ``gpo loadtest``, the test
-suite and anyone scripting the API without third-party dependencies.
+(Content-Length or chunked), close.  Used by the ``served-mix`` workload
+of ``perfbench/``, the test suite and anyone scripting the API without
+third-party dependencies.
 """
 
 from __future__ import annotations

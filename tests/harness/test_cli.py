@@ -244,6 +244,14 @@ class TestBenchModel:
         assert main(["table1", "--problems", "RW:two"]) == 2
         assert "NAME:SIZE" in capsys.readouterr().err
 
+    def test_size_the_model_refuses_exits_two(self, capsys):
+        # RW needs two processes; the constructor's ValueError becomes a
+        # usage error before any worker forks, not a traceback.
+        assert main(["table1", "--problems", "RW:0", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "bad instance RW:0: need at least 2 processes" in captured.err
+        assert captured.out == ""
+
     def test_mixed_selection(self, capsys):
         code = main(
             ["table1", "--problems", "OVER,RW:2", "--max-states", "2000",
@@ -399,6 +407,12 @@ class TestProfile:
 
     def test_unknown_family_exits_two(self, capsys):
         assert main(["profile", "nope", "2"]) == 2
+
+    def test_size_the_model_refuses_exits_two(self, capsys):
+        assert main(["profile", "NSDP", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "bad instance NSDP:1: need at least 2 philosophers" in captured.err
+        assert captured.out == ""
 
     def test_memory_flag_attributes_kb(self, capsys):
         code = main(["profile", "nsdp", "2", "--memory"])

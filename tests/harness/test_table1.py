@@ -11,9 +11,18 @@ from repro.harness import (
 )
 
 
+def table1_instances(sizes):
+    """``run_table1``'s ``instances`` for a ``{problem: sizes}`` selection."""
+    return {
+        (problem, size): PROBLEMS[problem](size)
+        for problem, wanted in sizes.items()
+        for size in wanted
+    }
+
+
 def run_instance(problem, size, **kwargs):
     """The one Table 1 row of ``problem(size)`` (``--problems NAME:SIZE``)."""
-    (row,) = run_table1(problems=[problem], sizes={problem: [size]}, **kwargs)
+    (row,) = run_table1(instances=table1_instances({problem: [size]}), **kwargs)
     return row
 
 
@@ -61,8 +70,7 @@ class TestRunInstance:
 class TestFormatting:
     def test_table_renders_both_sections(self):
         rows = run_table1(
-            problems=["OVER"],
-            sizes={"OVER": [2]},
+            instances=table1_instances({"OVER": [2]}),
             analyzers=("gpo", "full"),
         )
         text = format_table1(rows)
@@ -74,7 +82,7 @@ class TestFormatting:
 
     def test_without_paper_section(self):
         rows = run_table1(
-            problems=["OVER"], sizes={"OVER": [2]}, analyzers=("gpo",)
+            instances=table1_instances({"OVER": [2]}), analyzers=("gpo",)
         )
         text = format_table1(rows, with_paper=False)
         assert "paper" not in text
@@ -97,8 +105,7 @@ class TestParallelExecution:
 
     def test_jobs4_matches_sequential(self):
         kwargs = dict(
-            problems=["NSDP"],
-            sizes={"NSDP": [2, 4]},
+            instances=table1_instances({"NSDP": [2, 4]}),
             budget=Budget(max_states=2000, max_seconds=60.0),
         )
         sequential = run_table1(**kwargs)
@@ -114,8 +121,7 @@ class TestParallelExecution:
         cache = ResultCache(tmp_path)
         sink = MemoryEventSink()
         kwargs = dict(
-            problems=["RW"],
-            sizes={"RW": [2]},
+            instances=table1_instances({"RW": [2]}),
             budget=Budget(max_states=2000, max_seconds=60.0),
         )
         cold = run_table1(**kwargs, jobs=2, cache=cache)

@@ -101,14 +101,9 @@ class TestEngineExecution:
 class TestTable1:
     def test_verdict_column_identical_with_and_without_reduce(self):
         budget = Budget(max_states=50_000, max_seconds=60.0)
-        sizes = {"RW": (4,), "NSDP": (3,)}
-        base = run_table1(
-            problems=["NSDP", "RW"], sizes=sizes, budget=budget
-        )
-        shrunk = run_table1(
-            problems=["NSDP", "RW"], sizes=sizes, budget=budget,
-            reduce="auto",
-        )
+        instances = {("NSDP", 3): nsdp(3), ("RW", 4): rw(4)}
+        base = run_table1(instances=instances, budget=budget)
+        shrunk = run_table1(instances=instances, budget=budget, reduce="auto")
         for row_a, row_b in zip(base, shrunk):
             assert row_a.problem == row_b.problem
             assert row_a.deadlock == row_b.deadlock
@@ -116,8 +111,7 @@ class TestTable1:
     def test_stats_row_reports_net_sizes(self):
         budget = Budget(max_states=50_000, max_seconds=60.0)
         rows = run_table1(
-            problems=["RW"], sizes={"RW": (4,)}, budget=budget,
-            reduce="auto",
+            instances={("RW", 4): rw(4)}, budget=budget, reduce="auto"
         )
         cell = rows[0].net_size_cell()
         assert "->" in cell
@@ -127,7 +121,7 @@ class TestTable1:
 
     def test_unreduced_stats_cell_is_placeholder(self):
         budget = Budget(max_states=50_000, max_seconds=60.0)
-        rows = run_table1(problems=["RW"], sizes={"RW": (4,)}, budget=budget)
+        rows = run_table1(instances={("RW", 4): rw(4)}, budget=budget)
         assert rows[0].net_size_cell() == "-"
 
 

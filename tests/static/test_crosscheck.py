@@ -55,8 +55,7 @@ class TestJobEventsCarryCertification:
         log = tmp_path / "events.jsonl"
         with open(log, "w", encoding="utf-8") as handle:
             run_table1(
-                problems=["NSDP"],
-                sizes={"NSDP": [2]},
+                instances={("NSDP", 2): nsdp(2)},
                 budget=Budget(max_states=5000),
                 events=JsonlEventSink(handle),
             )
